@@ -23,7 +23,6 @@ from .coefficients import (
 from .grid_noise import (
     NoisePlan,
     SpaceTimeGrid,
-    couple,
     l2_norm,
     make_grid,
     sample_increments,
@@ -32,6 +31,7 @@ from .grid_noise import (
 )
 from .heat import heat_apply, heat_kernel, implicit_step
 from .semigroup import (
+    Directions,
     Functional,
     MCEstimate,
     bounded_cylinder,
@@ -50,8 +50,6 @@ from .solver import (
     deterministic_obstacle,
     solve_path,
     solve_tangent,
-    step_penalized,
-    step_reflected,
 )
 from .verify import (
     check_eps_convergence,

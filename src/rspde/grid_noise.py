@@ -19,7 +19,6 @@ __all__ = [
     "SpaceTimeGrid",
     "NoisePlan",
     "make_grid",
-    "couple",
     "with_stream",
     "sample_increments",
     "increments_matrix",
@@ -134,11 +133,6 @@ class NoisePlan:
     master_seed: int
     stream_id: int = 0
     counter: int = 0
-
-
-def couple(plan: NoisePlan) -> NoisePlan:
-    """Plan yielding the identical increment sequence (common noise)."""
-    return replace(plan)
 
 
 def with_stream(plan: NoisePlan, stream_id: int) -> NoisePlan:

@@ -18,19 +18,21 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import CoefficientModel
 from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm
-from .heat import _cached_solver, spectral_basis
-from .solver import BlowUpError, penalty_resolvent
+from .heat import spectral_basis
+from .solver import _check_finite, _drift_noise_solve, _project, penalty_resolvent
 
 __all__ = [
     "Functional",
     "FunctionalContractError",
     "MCEstimate",
     "GradientEstimate",
+    "Directions",
     "field_id",
     "clipped_affine",
     "exp_neg_pair",
@@ -234,7 +236,10 @@ class GradientEstimate:
 def _n_threads() -> int:
     env = os.environ.get("RSPDE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"RSPDE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -253,8 +258,9 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     (the supremum includes t = 0).
 
     All variants of a stream share the same noise blocks, so cross-variant
-    differences are common-random-number coupled; each path's trajectory is
-    bitwise identical to a single solve_path run with the same stream id.
+    differences are common-random-number coupled.  Each path's trajectory
+    is bitwise identical to a single solve_path run with the same stream id,
+    except under the ``arctan_square`` penalty (see the ``solver`` module).
     """
     H = np.atleast_2d(np.asarray(h_variants, dtype=float))
     V, n = H.shape
@@ -269,39 +275,32 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     pairs = list(track_sup_pairs or [])
 
     plan = NoisePlan(seed)
-    solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     q = grid.dt / eps if mode == "penalized" else 0.0
 
     out = np.empty((V, n, n_paths))
-    sup_out = np.empty((len(pairs), n_paths)) if pairs else None
+    sup_out = np.zeros((len(pairs), n_paths))
 
     def do_chunk(lo: int, hi: int):
         streams = np.arange(lo, hi) + stream_offset
-        C = hi - lo
-        U = np.broadcast_to(H.T[:, :, None], (n, V, C)).copy()
-        sup = None
-        if pairs:
-            sup = np.empty((len(pairs), C))
+        U = np.broadcast_to(H.T[:, :, None], (n, V, hi - lo)).copy()
+        sup = sup_out[:, lo:hi]
+
+        def track_sup(U):
             for p, (i, j) in enumerate(pairs):
-                sup[p] = np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0)
+                np.maximum(sup[p], np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0), out=sup[p])
+
+        track_sup(U)
         for m in range(n_run_steps):
             dW = increments_matrix(plan, grid, m, streams)
-            xi = (dW / grid.dx)[:, None, :]
-            W = U + grid.dt * model.b(U) + model.sigma(U) * xi
-            Vmid = solver.solve(W.reshape(n, V * C)).reshape(n, V, C)
+            Vmid = _drift_noise_solve(U, dW[:, None, :], model, grid)
             if mode == "penalized":
-                U = penalty_resolvent(Vmid, q, model.penalty_kind)
+                U_new = penalty_resolvent(Vmid, q, model.penalty_kind)
             else:
-                U = np.maximum(Vmid, 0.0)
-            if not np.all(np.isfinite(U)):
-                bad = np.where(~np.isfinite(U).all(axis=(0, 1)))[0]
-                raise _blow_up(m, int(streams[bad[0]]) if len(bad) else -1)
-            if pairs:
-                for p, (i, j) in enumerate(pairs):
-                    np.maximum(sup[p], np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0), out=sup[p])
+                U_new = _project(Vmid, grid)
+            _check_finite(U_new, U, m, streams)
+            U = U_new
+            track_sup(U)
         out[:, :, lo:hi] = U.transpose(1, 0, 2)
-        if pairs:
-            sup_out[:, lo:hi] = sup
 
     ranges = _chunk_ranges(n_paths)
     workers = min(_n_threads(), len(ranges))
@@ -316,88 +315,82 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     return out
 
 
-def _blow_up(step, stream):
-    err = BlowUpError(step, float("nan"))
-    err.stream = int(stream)
-    err.args = (f"blow-up at step {step} on stream {stream}",)
-    return err
-
-
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
-def _check_t(grid: SpaceTimeGrid, t: float) -> int:
-    return grid.step_of(t)
+def _check_n_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
 
 
-def _mean_se(values: np.ndarray, seed: int, n_paths: int, **prov) -> MCEstimate:
-    mean = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def _variance_se(values: np.ndarray) -> tuple[float, float]:
+    """Unbiased sample variance and its asymptotic std error."""
+    n = len(values)
+    var = float(np.var(values, ddof=1))
+    centered = values - np.mean(values)
+    m4 = float(np.mean(centered ** 4))
+    return var, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
+
+
+def _estimate(name, per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
+              at_t0=None) -> MCEstimate:
+    """Shared body of the scalar estimators.
+
+    Runs one V=1 pass of n_paths streams from h to time t, maps the final
+    fields to per-path values with ``per_path`` and reduces them to
+    (mean, std_error) with ``reduce``.  At t = 0 every path sits at h: the
+    estimate is ``at_t0`` (default per_path(h)) with std error 0.
+    """
+    _check_n_paths(n_paths)
+    h = np.asarray(h, float)
+    prov = {"functional": name, "h_id": field_id(h), "t": t}
+    n_steps = grid.step_of(t)
+    if n_steps == 0:
+        mean, se = (float(per_path(h)) if at_t0 is None else at_t0), 0.0
+    else:
+        U = run_ensemble(h[None, :], n_steps, mode, model, grid, seed, n_paths, eps=eps)
+        mean, se = reduce(per_path(U[0]))
     return MCEstimate(mean, se, n_paths, seed, (0, n_paths), **prov)
-
-
-def _final_fields(h, t, mode, model, grid, n_paths, seed, eps):
-    n_steps = _check_t(grid, t)
-    U = run_ensemble(np.asarray(h, float)[None, :], n_steps, mode, model, grid,
-                     seed, n_paths, eps=eps)
-    return U[0]
 
 
 def estimate_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of Phi(u(t; h)) over streams 0..n_paths-1."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    prov = {"functional": phi.kind, "h_id": field_id(h), "t": t}
-    if _check_t(grid, t) == 0:
-        return MCEstimate(float(phi.value(np.asarray(h, float))), 0.0, n_paths, seed,
-                          (0, n_paths), **prov)
-    fields = _final_fields(h, t, mode, model, grid, n_paths, seed, eps)
-    return _mean_se(phi.value(fields), seed, n_paths, **prov)
+    return _estimate(phi.kind, phi.value, _mean_se,
+                     h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of log Phi(u(t; h)); Phi must be strictly positive."""
     if not phi.strictly_positive:
         raise ValueError("estimate_Pt_log needs a strictly positive functional (lo > 0)")
-    prov = {"functional": f"log({phi.kind})", "h_id": field_id(h), "t": t}
-    if _check_t(grid, t) == 0:
-        return MCEstimate(float(np.log(phi.value(np.asarray(h, float)))), 0.0, n_paths, seed,
-                          (0, n_paths), **prov)
-    fields = _final_fields(h, t, mode, model, grid, n_paths, seed, eps)
-    values = phi.value(fields)
-    if np.min(values) < phi.lower_bound * (1.0 - 1e-12):
-        raise FunctionalContractError(
-            f"sampled value {np.min(values)} below declared lower bound {phi.lower_bound}"
-        )
-    return _mean_se(np.log(values), seed, n_paths, **prov)
+
+    def log_value(U):
+        values = phi.value(U)
+        if np.min(values) < phi.lower_bound * (1.0 - 1e-12):
+            raise FunctionalContractError(
+                f"sampled value {np.min(values)} below declared lower bound {phi.lower_bound}"
+            )
+        return np.log(values)
+
+    return _estimate(f"log({phi.kind})", log_value, _mean_se,
+                     h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_grad_sq(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of |grad Phi|^2(u(t; h)) (right-hand sides of the bounds)."""
-    prov = {"functional": f"grad_sq({phi.kind})", "h_id": field_id(h), "t": t}
-    if _check_t(grid, t) == 0:
-        return MCEstimate(float(phi.grad_sq(np.asarray(h, float))), 0.0, n_paths, seed,
-                          (0, n_paths), **prov)
-    fields = _final_fields(h, t, mode, model, grid, n_paths, seed, eps)
-    return _mean_se(phi.grad_sq(fields), seed, n_paths, **prov)
+    return _estimate(f"grad_sq({phi.kind})", phi.grad_sq, _mean_se,
+                     h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Unbiased sample variance of Phi(u(t; h)) with its asymptotic std error."""
-    if n_paths < 2:
-        raise ValueError("n_paths must be >= 2")
-    prov = {"functional": f"var({phi.kind})", "h_id": field_id(h), "t": t}
-    if _check_t(grid, t) == 0:
-        return MCEstimate(0.0, 0.0, n_paths, seed, (0, n_paths), **prov)
-    fields = _final_fields(h, t, mode, model, grid, n_paths, seed, eps)
-    values = phi.value(fields)
-    n = len(values)
-    var = float(np.var(values, ddof=1))
-    centered = values - np.mean(values)
-    m4 = float(np.mean(centered ** 4))
-    se = math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
-    return MCEstimate(var, se, n_paths, seed, (0, n_paths), **prov)
+    return _estimate(f"var({phi.kind})", phi.value, _variance_se,
+                     h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
 
 
 def bootstrap_variance_positive(values, n_boot=2000, seed=0, level=0.99) -> bool:
@@ -409,10 +402,17 @@ def bootstrap_variance_positive(values, n_boot=2000, seed=0, level=0.99) -> bool
     return float(np.quantile(boots, 1.0 - level)) > 0.0
 
 
-def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: bool = True):
+class Directions(NamedTuple):
+    """Labelled probe directions for estimate_grad_Pt."""
+
+    labels: list
+    fields: list
+
+
+def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: bool = True) -> Directions:
     """Unit-norm probe directions: low sine modes and their +/- parts.
 
-    Returns (labels, fields) with every field of unit discrete L2 norm;
+    Returns Directions(labels, fields) with every field of unit discrete L2 norm;
     zero or duplicate parts (such as the negative part of the first mode)
     are dropped.
     """
@@ -437,7 +437,7 @@ def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: b
         if include_parts:
             push(f"e{i+1}+", np.maximum(e, 0.0))
             push(f"e{i+1}-", np.maximum(-e, 0.0))
-    return labels, fields
+    return Directions(labels, fields)
 
 
 def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
@@ -449,16 +449,18 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     by more than delta/10 in L2 are rejected) and integrated in lockstep
     with shared noise; the proxy is the max over directions of
     |P_t Phi(h+) - P_t Phi(h-)| / (2 delta).
+
+    ``directions`` is a Directions (default: direction_dictionary(grid)) or
+    a plain sequence of fields, which are labelled k0, k1, ...
     """
+    _check_n_paths(n_paths)
     h = np.asarray(h, dtype=float)
     if directions is None:
-        labels, fields = direction_dictionary(grid)
-    elif isinstance(directions, tuple) and len(directions) == 2 \
-            and not isinstance(directions[0], np.ndarray):
-        labels, fields = directions
-    else:
+        directions = direction_dictionary(grid)
+    elif not isinstance(directions, Directions):
         fields = [np.asarray(k, float) for k in directions]
-        labels = [f"k{i}" for i in range(len(fields))]
+        directions = Directions([f"k{i}" for i in range(len(fields))], fields)
+    labels, fields = directions
     if delta is None:
         delta = 1e-3 * max(float(l2_norm(h, grid.dx)), 1.0)
 
@@ -480,7 +482,7 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     if not kept:
         raise ValueError("all probe directions were rejected at the cone boundary")
 
-    n_steps = _check_t(grid, t)
+    n_steps = grid.step_of(t)
     per_direction = []
     if n_steps == 0:
         for label, (hp, hm) in zip(kept, variants):
@@ -491,8 +493,7 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
         U = run_ensemble(stacked, n_steps, mode, model, grid, seed, n_paths, eps=eps)
         for i, label in enumerate(kept):
             diffs = (phi.value(U[2 * i]) - phi.value(U[2 * i + 1])) / (2.0 * delta)
-            est = _mean_se(diffs, seed, n_paths)
-            per_direction.append((label, est.mean, est.std_error))
+            per_direction.append((label, *_mean_se(diffs)))
 
     best = max(range(len(per_direction)), key=lambda i: abs(per_direction[i][1]))
     return GradientEstimate(

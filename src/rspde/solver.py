@@ -1,10 +1,16 @@
 """Time integrators: penalized, reflected (with reflection ledger), tangent.
 
 All three share the same splitting per step: explicit drift + noise, implicit
-half-Laplacian solve, then a nodewise nonlinear stage (penalty resolvent or
-projection onto the nonnegative cone).  The step functions accept fields of
-shape (n_space,) or (n_space, n_paths); every operation is elementwise per
-path, so batched results match single-path runs bitwise.
+half-Laplacian solve (``_drift_noise_solve``), then a nodewise nonlinear
+stage (``penalty_resolvent`` or the projection ``_project``), and a finite
+check (``_check_finite``).  The ensemble loops in ``semigroup`` and ``verify``
+run the same stages on fields of shape (n_space, ..., n_paths).
+
+The drift + noise stage, the solve and the projection act per column, so
+reflected and ``negative_part`` penalized runs match single-path runs
+bitwise.  The ``arctan_square`` resolvent does not: its Newton sweep stops
+on the largest residual over the whole slab it is given, so a column's
+result depends on the other columns of that slab.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ __all__ = [
     "Trajectory",
     "penalty_resolvent",
     "penalty_resolvent_deriv",
-    "step_penalized",
-    "step_reflected",
     "solve_path",
     "solve_tangent",
     "deterministic_obstacle",
@@ -33,11 +37,17 @@ __all__ = [
 
 
 class BlowUpError(RuntimeError):
-    """Integrator produced NaN/inf; carries the failing step index."""
+    """Integrator produced NaN/inf.
 
-    def __init__(self, step, max_abs):
-        super().__init__(f"blow-up at step {step}: max |u| = {max_abs}")
+    Carries the failing step, the noise stream and max |u| of that stream's
+    last finite field (one step earlier).
+    """
+
+    def __init__(self, step, stream, max_abs):
+        super().__init__(f"blow-up at step {step} on stream {stream}: "
+                         f"last finite max |u| = {max_abs}")
         self.step = step
+        self.stream = stream
         self.max_abs = max_abs
 
 
@@ -151,37 +161,35 @@ def penalty_resolvent_deriv(u_new: np.ndarray, dt_over_eps: float, kind: str) ->
     raise ValueError(f"unknown penalty kind {kind!r}")
 
 
-def _drift_noise_stage(u, model, grid, dW):
-    return u + grid.dt * model.b(u) + model.sigma(u) * (dW / grid.dx)
+def _drift_noise_solve(u, dW, model, grid):
+    """Explicit drift + noise, then the implicit half-Laplacian solve.
+
+    ``u`` has shape (n_space, ...) and ``dW`` holds cell increments that
+    broadcast against it; every operation acts per column.
+    """
+    w = u + grid.dt * model.b(u) + model.sigma(u) * (dW / grid.dx)
+    return _cached_solver(grid.n_space, grid.dx, grid.dt).solve(w)
 
 
-def _check_finite(u, step):
-    if not np.all(np.isfinite(u)):
-        finite = u[np.isfinite(u)]
-        raise BlowUpError(step, float(np.max(np.abs(finite), initial=np.inf)))
-
-
-def step_penalized(u, eps, model, grid, dW, solver=None, step=None):
-    """One step of the penalized scheme: drift+noise, implicit heat, resolvent."""
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if solver is None:
-        solver = _cached_solver(u.shape[0], grid.dx, grid.dt)
-    v = solver.solve(_drift_noise_stage(u, model, grid, dW))
-    out = penalty_resolvent(v, grid.dt / eps, model.penalty_kind)
-    _check_finite(out, step)
-    return out
-
-
-def step_reflected(u, model, grid, dW, ledger, solver=None, step=None):
-    """One projected step; cell mass (v_i)^- * dx goes to the ledger."""
-    if solver is None:
-        solver = _cached_solver(u.shape[0], grid.dx, grid.dt)
-    v = solver.solve(_drift_noise_stage(u, model, grid, dW))
+def _project(v, grid, ledger=None):
+    """Projection onto the nonnegative cone; cell mass (v_i)^- * dx goes to the ledger."""
     out = np.maximum(v, 0.0)
-    ledger.record(np.maximum(-v, 0.0) * grid.dx, out)
-    _check_finite(out, step)
+    if ledger is not None:
+        ledger.record(np.maximum(-v, 0.0) * grid.dx, out)
     return out
+
+
+def _check_finite(u, u_prev, step, streams):
+    """Raise BlowUpError at the first stream whose field u holds a NaN or inf.
+
+    The last axis of u and u_prev (the field one step earlier) runs over
+    ``streams``; a 1-D field is the single stream ``streams[0]``.
+    """
+    if np.all(np.isfinite(u)):
+        return
+    k = int(np.argmin(np.isfinite(u).reshape(-1, len(streams)).all(axis=0)))
+    last = np.asarray(u_prev).reshape(-1, len(streams))[:, k]
+    raise BlowUpError(step, int(streams[k]), float(np.max(np.abs(last))))
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +225,18 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
         raise ValueError(f"unknown mode {mode!r}")
 
     save_steps = _resolve_save_steps(grid, save_at)
-    solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     snapshots = {}
     u = h.copy()
     if 0 in save_steps:
         snapshots[0] = u.copy()
     for m in range(grid.n_steps):
-        dW = sample_increments(plan, grid, m)
+        v = _drift_noise_solve(u, sample_increments(plan, grid, m), model, grid)
         if mode == "penalized":
-            u = step_penalized(u, eps, model, grid, dW, solver, step=m)
+            u_new = penalty_resolvent(v, grid.dt / eps, model.penalty_kind)
         else:
-            u = step_reflected(u, model, grid, dW, ledger, solver, step=m)
+            u_new = _project(v, grid, ledger)
+        _check_finite(u_new, u, m, [plan.stream_id])
+        u = u_new
         if m + 1 in save_steps:
             snapshots[m + 1] = u.copy()
 
@@ -276,12 +285,11 @@ def solve_tangent(u_path: Trajectory, k, eps, model: CoefficientModel,
         snapshots[0] = v.copy()
     for m in range(grid.n_steps):
         dW = sample_increments(plan, grid, m)
-        xi = dW / grid.dx
-        w_u = u + grid.dt * model.b(u) + model.sigma(u) * xi
-        w_v = v + grid.dt * model.db(u) * v + model.dsigma(u) * v * xi
-        u = penalty_resolvent(solver.solve(w_u), q, model.penalty_kind)
-        v = solver.solve(w_v) * penalty_resolvent_deriv(u, q, model.penalty_kind)
-        _check_finite(v, m)
+        w_v = v + grid.dt * model.db(u) * v + model.dsigma(u) * v * (dW / grid.dx)
+        u = penalty_resolvent(_drift_noise_solve(u, dW, model, grid), q, model.penalty_kind)
+        v_new = solver.solve(w_v) * penalty_resolvent_deriv(u, q, model.penalty_kind)
+        _check_finite(v_new, v, m, [plan.stream_id])
+        v = v_new
         if m + 1 in save_steps:
             snapshots[m + 1] = v.copy()
     times = np.array([s * grid.dt for s in save_steps])

@@ -16,9 +16,9 @@ import numpy as np
 
 from .coefficients import BoundProfile, CoefficientModel, harnack_rhs
 from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm, sup_norm
-from .heat import _cached_solver
 from .semigroup import (
     Functional,
+    _check_n_paths,
     estimate_grad_Pt,
     estimate_Pt,
     estimate_Pt_grad_sq,
@@ -26,7 +26,13 @@ from .semigroup import (
     estimate_variance,
     run_ensemble,
 )
-from .solver import ReflectionLedger, penalty_resolvent
+from .solver import (
+    ReflectionLedger,
+    _check_finite,
+    _drift_noise_solve,
+    _project,
+    penalty_resolvent,
+)
 
 __all__ = [
     "CheckReport",
@@ -106,6 +112,27 @@ def _margin(lhs: float, rhs: float) -> float:
     return rhs / lhs
 
 
+def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
+          allowance_rhs=None, margin_ratio=None) -> CheckReport:
+    """The 3-SE gate: PASS when lhs <= rhs + 3 * combined SE + allowance.
+
+    The allowance scales with max(|lhs|, |allowance_rhs|), where
+    allowance_rhs defaults to rhs; margin_ratio defaults to rhs / lhs.
+    """
+    scale_rhs = rhs if allowance_rhs is None else allowance_rhs
+    slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, lhs, scale_rhs)
+    return CheckReport(
+        check=check,
+        passed=lhs <= rhs + slack,
+        lhs=lhs,
+        rhs=rhs,
+        std_errors={"lhs": se_lhs, "rhs": se_rhs},
+        margin_ratio=_margin(lhs, rhs) if margin_ratio is None else margin_ratio,
+        inputs=inputs,
+        seed=seed,
+    )
+
+
 def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel,
                             grid: SpaceTimeGrid, n_paths: int, seed: int, eps=None,
                             directions=None, delta=None, m_scale: float = 1.0) -> CheckReport:
@@ -124,22 +151,13 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M * math.exp(profile.zeta(t))
-    lhs = grad.value ** 2
-    se_lhs = 2.0 * grad.value * grad.std_error
-    rhs = factor * pgs.mean
-    se_rhs = factor * pgs.std_error
-    slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, lhs, rhs)
-    return CheckReport(
-        check="gradient",
-        passed=lhs <= rhs + slack,
-        lhs=lhs,
-        rhs=rhs,
-        std_errors={"lhs": se_lhs, "rhs": se_rhs},
-        margin_ratio=_margin(lhs, rhs),
-        inputs={"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
-                "best_direction": grad.best_direction, "delta": grad.delta,
-                "rejected_directions": [lbl for lbl, _ in grad.rejected]},
-        seed=seed,
+    return _gate(
+        "gradient", grad.value ** 2, factor * pgs.mean,
+        2.0 * grad.value * grad.std_error, factor * pgs.std_error, grid,
+        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
+         "best_direction": grad.best_direction, "delta": grad.delta,
+         "rejected_directions": [lbl for lbl, _ in grad.rejected]},
+        seed,
     )
 
 
@@ -161,20 +179,15 @@ def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
     profile = BoundProfile(model.L_b, model.L_sigma)
     dist2 = float(l2_norm(h1 - h2, grid.dx)) ** 2
     additive = m_scale * harnack_rhs(t, dist2, profile, model.kappa1) if dist2 > 0 else 0.0
-    lhs = left.mean
-    rhs = math.log(right.mean) + additive
-    se_rhs = right.std_error / right.mean
-    slack = 3.0 * _combined_se(left.std_error, se_rhs) + _allowance(grid, lhs, math.log(right.mean))
-    return CheckReport(
-        check="log-harnack",
-        passed=lhs <= rhs + slack,
-        lhs=lhs,
-        rhs=rhs,
-        std_errors={"lhs": left.std_error, "rhs": se_rhs},
-        margin_ratio=_margin(abs(lhs), abs(rhs)) if lhs != 0 else math.inf,
-        inputs={"t": t, "n_paths": n_paths, "model": model.name, "dist2": dist2,
-                "additive_term": additive, "m_scale": m_scale},
-        seed=seed,
+    log_mean = math.log(right.mean)
+    rhs = log_mean + additive
+    return _gate(
+        "log-harnack", left.mean, rhs, left.std_error, right.std_error / right.mean, grid,
+        {"t": t, "n_paths": n_paths, "model": model.name, "dist2": dist2,
+         "additive_term": additive, "m_scale": m_scale},
+        seed,
+        allowance_rhs=log_mean,
+        margin_ratio=_margin(abs(left.mean), abs(rhs)),
     )
 
 
@@ -190,19 +203,10 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M * model.kappa2 ** 2 * profile.int_exp_zeta(t)
-    lhs = var.mean
-    rhs = factor * pgs.mean
-    se_rhs = factor * pgs.std_error
-    slack = 3.0 * _combined_se(var.std_error, se_rhs) + _allowance(grid, lhs, rhs)
-    return CheckReport(
-        check="variance",
-        passed=lhs <= rhs + slack,
-        lhs=lhs,
-        rhs=rhs,
-        std_errors={"lhs": var.std_error, "rhs": se_rhs},
-        margin_ratio=_margin(lhs, rhs),
-        inputs={"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale},
-        seed=seed,
+    return _gate(
+        "variance", var.mean, factor * pgs.mean, var.std_error, factor * pgs.std_error, grid,
+        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale},
+        seed,
     )
 
 
@@ -222,21 +226,12 @@ def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M / (model.kappa1 ** 2 * profile.int_exp_neg_zeta(t))
-    lhs = grad.value ** 2
-    se_lhs = 2.0 * grad.value * grad.std_error
-    rhs = factor * var.mean
-    se_rhs = factor * var.std_error
-    slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, lhs, rhs)
-    return CheckReport(
-        check="lipschitz",
-        passed=lhs <= rhs + slack,
-        lhs=lhs,
-        rhs=rhs,
-        std_errors={"lhs": se_lhs, "rhs": se_rhs},
-        margin_ratio=_margin(lhs, rhs),
-        inputs={"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
-                "best_direction": grad.best_direction},
-        seed=seed,
+    return _gate(
+        "lipschitz", grad.value ** 2, factor * var.mean,
+        2.0 * grad.value * grad.std_error, factor * var.std_error, grid,
+        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
+         "best_direction": grad.best_direction},
+        seed,
     )
 
 
@@ -254,6 +249,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     h2 = np.asarray(h2, float)
     if p < 1:
         raise ValueError("p must be >= 1")
+    _check_n_paths(n_paths)
     diff = h2 - h1
     if float(sup_norm(diff)) == 0.0:
         raise ValueError("h1 and h2 coincide; the ladder is degenerate")
@@ -297,7 +293,6 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         raise ValueError("need eps_small < eps_big")
     h = np.asarray(h, float)
     plan = NoisePlan(seed)
-    solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     streams = np.arange(n_paths)
     u_big = np.broadcast_to(h[:, None], (grid.n_space, n_paths)).copy()
     u_small = u_big.copy()
@@ -308,16 +303,13 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
     worst = 0.0
     for m in range(grid.n_steps):
         dW = increments_matrix(plan, grid, m, streams)
-        xi = dW / grid.dx
-        for which in ("big", "small"):
-            u = u_big if which == "big" else u_small
-            w = u + grid.dt * model.b(u) + model.sigma(u) * xi
-            v = solver.solve(w)
-            out = penalty_resolvent(v, q_big if which == "big" else q_small, model.penalty_kind)
-            if which == "big":
-                u_big = out
-            else:
-                u_small = out
+        big = penalty_resolvent(_drift_noise_solve(u_big, dW, model, grid), q_big,
+                                model.penalty_kind)
+        small = penalty_resolvent(_drift_noise_solve(u_small, dW, model, grid), q_small,
+                                  model.penalty_kind)
+        _check_finite(big, u_big, m, streams)
+        _check_finite(small, u_small, m, streams)
+        u_big, u_small = big, small
         running_scale = np.maximum(running_scale, np.max(np.abs(u_big), axis=0))
         running_scale = np.maximum(running_scale, np.max(np.abs(u_small), axis=0))
         tol = 5.0 * (grid.dt + grid.dx ** 2) * running_scale
@@ -346,10 +338,10 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     distance E[sup_{t,x} |u_eps - u_reflected|] must decrease along a
     decreasing eps ladder, and the reflected run must stay exactly
     nonnegative."""
+    _check_n_paths(n_paths)
     eps_ladder = sorted(eps_ladder, reverse=True)
     h = np.asarray(h, float)
     plan = NoisePlan(seed)
-    solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     streams = np.arange(n_paths)
     n_eps = len(eps_ladder)
     U = np.broadcast_to(h[:, None, None], (grid.n_space, n_eps + 1, n_paths)).copy()
@@ -359,15 +351,13 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     min_reflected = 0.0
     for m in range(grid.n_steps):
         dW = increments_matrix(plan, grid, m, streams)
-        xi = (dW / grid.dx)[:, None, :]
-        W = U + grid.dt * model.b(U) + model.sigma(U) * xi
-        Vmid = solver.solve(W.reshape(grid.n_space, (n_eps + 1) * n_paths)).reshape(U.shape)
+        U_new = _drift_noise_solve(U, dW[:, None, :], model, grid)
         for j, q in enumerate(qs):
-            U[:, j, :] = penalty_resolvent(Vmid[:, j, :], q, model.penalty_kind)
-        v_ref = Vmid[:, n_eps, :]
-        u_ref = np.maximum(v_ref, 0.0)
-        ledger.record(np.maximum(-v_ref, 0.0) * grid.dx, u_ref)
-        U[:, n_eps, :] = u_ref
+            U_new[:, j, :] = penalty_resolvent(U_new[:, j, :], q, model.penalty_kind)
+        u_ref = _project(U_new[:, n_eps, :], grid, ledger)
+        U_new[:, n_eps, :] = u_ref
+        _check_finite(U_new, U, m, streams)
+        U = U_new
         min_reflected = min(min_reflected, float(np.min(u_ref)))
         for j in range(n_eps):
             np.maximum(sup_dist[j], np.max(np.abs(U[:, j, :] - u_ref), axis=0), out=sup_dist[j])

@@ -19,6 +19,7 @@ from rspde.config import dumps_config
 from rspde.grid_noise import NoisePlan, l2_norm, make_grid, with_stream
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
+    Directions,
     bounded_cylinder,
     clipped_affine,
     direction_dictionary,
@@ -187,9 +188,9 @@ def test_criterion_08_variance_and_lipschitz(standard_lab):
     center = float(grid.dx * (e1 @ h))
     step_phi = bounded_cylinder(e1, grid.dx, center=center, lo=0.0, hi=1.0, smooth=False)
     raw = estimate_grad_Pt(step_phi, h, 0.0, "reflected", model, grid, 8,
-                           seed=SEED, directions=(["e1"], [e1]), delta=1e-3)
+                           seed=SEED, directions=Directions(["e1"], [e1]), delta=1e-3)
     smoothed = estimate_grad_Pt(step_phi, h, 0.1, "reflected", model, grid, 1000,
-                                seed=SEED, directions=(["e1"], [e1]), delta=1e-3)
+                                seed=SEED, directions=Directions(["e1"], [e1]), delta=1e-3)
     smoothing_seen = np.isfinite(smoothed.value) and smoothed.value < 0.05 * raw.value
     report(8, "variance+Lipschitz bounds",
            var_rep.passed and lip_rep.passed and smoothing_seen,

@@ -182,7 +182,7 @@ class TestCheckCommand:
         assert report["inputs"]["additive_term"] == 0.0
         assert report["config_hash"]
 
-    def test_gradient_fail_injection_exit_2(self, tmp_path):
+    def gradient_config(self):
         cfg = self.check_config()
         cfg["check"] = {
             "name": "gradient",
@@ -191,9 +191,18 @@ class TestCheckCommand:
             "functional": {"kind": "clipped_affine", "direction_modes": [1.0],
                             "offset": 0.5, "lo": 0.0, "hi": 50.0},
         }
-        path = write_config(tmp_path, cfg)
+        return cfg
+
+    def test_gradient_fail_injection_exit_2(self, tmp_path):
+        path = write_config(tmp_path, self.gradient_config())
         assert main(["check", "gradient", "--config", path,
                      "--debug-scale-m", "1e-6", "--paths", "200"]) == 2
+
+    def test_gradient_one_path_exit_1_names_n_paths(self, tmp_path, capsys):
+        # one path has no standard error, so there is no gate to pass
+        path = write_config(tmp_path, self.gradient_config())
+        assert main(["check", "gradient", "--config", path, "--paths", "1"]) == 1
+        assert "n_paths" in capsys.readouterr().err
 
     def test_comparison_check_exit_0(self, tmp_path):
         cfg = self.check_config()

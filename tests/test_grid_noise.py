@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rspde.grid_noise import (
     NoisePlan,
-    couple,
     increments_matrix,
     l2_norm,
     make_grid,
@@ -142,9 +141,10 @@ class TestNoiseDeterminism:
 
 class TestCoupling:
     def test_couple_identical_increments(self):
+        # common noise needs no helper: equal plans give equal increments
         grid = make_grid(31, 1e-3, 0.02)
         plan = NoisePlan(5, 3)
-        twin = couple(plan)
+        twin = NoisePlan(5, 3)
         for step in range(11):
             assert np.array_equal(
                 sample_increments(plan, grid, step), sample_increments(twin, grid, step)

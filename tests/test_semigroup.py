@@ -5,11 +5,15 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rspde import semigroup
 from rspde.coefficients import CoefficientModel, constant_model, standard_model
 from rspde.grid_noise import NoisePlan, l2_norm, make_grid, with_stream
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
+    Directions,
     FunctionalContractError,
     bootstrap_variance_positive,
     bounded_cylinder,
@@ -24,7 +28,7 @@ from rspde.semigroup import (
     functional_from_config,
     run_ensemble,
 )
-from rspde.solver import BlowUpError, solve_path, step_reflected, ReflectionLedger
+from rspde.solver import BlowUpError, ReflectionLedger, _drift_noise_solve, _project, solve_path
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +129,60 @@ class TestRunEnsemble:
             run_ensemble(h[None, :], 3, "penalized", explosive, grid, seed=1,
                          n_paths=4, eps=1.0)
         assert getattr(exc.value, "stream", None) == 0
+        assert exc.value.step == 0
+        assert exc.value.max_abs == np.max(h)
+
+    def test_bad_thread_count_names_variable(self, small, monkeypatch):
+        grid, model, _, h = small
+        monkeypatch.setenv("RSPDE_THREADS", "abc")
+        with pytest.raises(ValueError, match="RSPDE_THREADS.*'abc'"):
+            run_ensemble(h[None, :], 1, "reflected", model, grid, seed=1, n_paths=2)
+
+
+@st.composite
+def small_runs(draw):
+    """A random small grid, model, mode and stack of initial fields."""
+    n_space = draw(st.integers(3, 9))
+    dt = draw(st.sampled_from([1e-3, 1e-2, 5e-2]))
+    grid = make_grid(n_space, dt, dt * draw(st.integers(1, 5)))
+    model = draw(st.sampled_from([standard_model(), constant_model(-2.0, 1.0)]))
+    mode, eps = draw(st.sampled_from([("reflected", None), ("penalized", 1e-3),
+                                      ("penalized", 1e-1)]))
+    node = st.one_of(st.just(0.0), st.floats(0.0, 2.0))
+    H = np.array(draw(st.lists(st.lists(node, min_size=n_space, max_size=n_space),
+                               min_size=1, max_size=3)))
+    return grid, model, mode, eps, H, draw(st.integers(0, 2**32)), draw(st.integers(1, 7))
+
+
+class TestBitwiseInvariants:
+    """What holds bitwise in reflected and negative_part penalized runs.
+
+    The arctan_square resolvent is left out: its Newton sweep stops on the
+    largest residual of the whole slab, so its columns depend on each other.
+    """
+
+    @given(run=small_runs())
+    @settings(max_examples=30, deadline=None)
+    def test_chunk_width_stacking_and_solve_path(self, run):
+        grid, model, mode, eps, H, seed, n_paths = run
+        by_width = {}
+        for width in (1, 3, 256):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(semigroup, "_STREAM_CHUNK", width)
+                mp.setenv("RSPDE_THREADS", "2")
+                by_width[width] = run_ensemble(H, grid.n_steps, mode, model, grid,
+                                               seed, n_paths, eps=eps)
+        U = by_width[256]
+        assert np.array_equal(by_width[1], U) and np.array_equal(by_width[3], U)
+        for v, h in enumerate(H):
+            alone = run_ensemble(h[None, :], grid.n_steps, mode, model, grid,
+                                 seed, n_paths, eps=eps)
+            assert np.array_equal(alone[0], U[v])
+            for stream in range(n_paths):
+                traj = solve_path(h, mode, model, grid, NoisePlan(seed, stream), eps=eps)
+                assert np.array_equal(traj.fields[-1], U[v, :, stream])
+                if mode == "reflected":
+                    assert traj.ledger.complementarity_sum == 0.0
 
 
 class TestEstimatePt:
@@ -171,7 +229,7 @@ class TestEstimatePt:
 
         for m in range(grid.n_steps):
             dW = increments_matrix(plan, grid, m, np.arange(n_paths))
-            U = step_reflected(U, model, grid, dW, ledger)
+            U = _project(_drift_noise_solve(U, dW, model, grid), grid, ledger)
         clipped_paths = np.count_nonzero(np.sum(ledger.node_mass, axis=0) > 0)
         assert clipped_paths / n_paths < 0.001
 
@@ -230,6 +288,17 @@ class TestEstimatePt:
         se_nested = float(np.std(per_outer, ddof=1) / math.sqrt(n_outer))
         gap = abs(direct.mean - nested)
         assert gap <= 3.0 * math.sqrt(direct.std_error**2 + se_nested**2) + 5e-3
+
+
+@pytest.mark.parametrize("estimator", [estimate_Pt, estimate_Pt_log, estimate_Pt_grad_sq,
+                                       estimate_variance, estimate_grad_Pt])
+@pytest.mark.parametrize("t", [0.0, 0.05])
+def test_single_path_rejected(small, estimator, t):
+    # one path has no standard error
+    grid, model, e1, h = small
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    with pytest.raises(ValueError, match="n_paths"):
+        estimator(phi, h, t, "reflected", model, grid, 1, seed=1)
 
 
 class TestEstimateLogAndVariance:
@@ -311,14 +380,15 @@ class TestEstimateGrad:
     def test_t_zero_recovers_functional_gradient(self, small):
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
-        labels, fields = direction_dictionary(grid, 1, include_parts=False)
         est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 32, seed=2,
-                               directions=(labels, fields))
+                               directions=direction_dictionary(grid, 1, include_parts=False))
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
 
     def test_direction_dictionary_shapes(self, small):
         grid, _, _, _ = small
-        labels, fields = direction_dictionary(grid, 8, include_parts=False)
+        dirs = direction_dictionary(grid, 8, include_parts=False)
+        assert isinstance(dirs, Directions)
+        labels, fields = dirs
         assert labels == [f"e{i}" for i in range(1, 9)]
         labels_p, fields_p = direction_dictionary(grid, 8, include_parts=True)
         assert len(labels_p) == 8 + 7 * 2  # first-mode parts are degenerate
@@ -352,12 +422,23 @@ class TestEstimateGrad:
         assert est.best_direction == "k0"
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
 
+    def test_two_tuple_of_list_fields_is_two_directions(self, small):
+        # a plain 2-tuple is a sequence of fields, never (labels, fields)
+        grid, model, e1, h = small
+        e2 = spectral_basis(31).modes[1]
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
+                               directions=(list(e1), list(e2)))
+        assert [lbl for lbl, _, _ in est.per_direction] == ["k0", "k1"]
+        assert est.best_direction == "k0"
+        assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
+
     def test_coupled_beats_uncoupled_stderror(self, small):
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, lo=-5, hi=5)
         delta = 1e-3
         est = estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 1000, seed=5,
-                               directions=(["e1"], [e1]), delta=delta)
+                               directions=Directions(["e1"], [e1]), delta=delta)
         hp = np.maximum(h + delta * e1, 0.0)
         hm = np.maximum(h - delta * e1, 0.0)
         up = estimate_Pt(phi, hp, 0.05, "reflected", model, grid, 1000, seed=5)

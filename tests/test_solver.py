@@ -14,13 +14,13 @@ from rspde.solver import (
     BlowUpError,
     ReflectionLedger,
     UnsupportedModelError,
+    _drift_noise_solve,
+    _project,
     deterministic_obstacle,
     penalty_resolvent,
     penalty_resolvent_deriv,
     solve_path,
     solve_tangent,
-    step_penalized,
-    step_reflected,
 )
 
 
@@ -68,13 +68,14 @@ class TestPenaltyResolvent:
 
 class TestStepPenalized:
     def test_heat_only_equals_implicit_step(self):
-        grid = make_grid(31, 1e-3, 0.1)
+        # one penalized step with zero drift and diffusion: the noise drops
+        # out exactly and the resolvent is the identity on the solve's output
+        grid = make_grid(31, 1e-3, 1e-3)
         model = constant_model(0.0, 0.0)
         h = nonneg_first_mode(grid)
         solver = ImplicitHeatSolver(grid.n_space, grid.dx, grid.dt)
-        dW = np.zeros(grid.n_space)
-        out = step_penalized(h, 1e-3, model, grid, dW)
-        assert np.array_equal(out, solver.solve(h))
+        traj = solve_path(h, "penalized", model, grid, NoisePlan(0), eps=1e-3)
+        assert np.array_equal(traj.fields[-1], solver.solve(h))
 
     def test_negative_part_shrinks_with_eps(self):
         # downward drift held against the penalty floor: once the field has
@@ -95,8 +96,10 @@ class TestStepPenalized:
 
     def test_rejects_bad_eps(self):
         grid = make_grid(7, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            step_penalized(np.zeros(7), 0.0, constant_model(), grid, np.zeros(7))
+        for eps in (None, 0.0, -1.0):
+            with pytest.raises(ValueError, match="eps"):
+                solve_path(np.zeros(7), "penalized", constant_model(), grid, NoisePlan(0),
+                           eps=eps)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_reports_step(self):
@@ -108,8 +111,10 @@ class TestStepPenalized:
         )
         # the forward sweep of the first implicit solve overflows to inf
         with pytest.raises(BlowUpError) as exc:
-            solve_path(np.zeros(7), "penalized", model, grid, NoisePlan(0), eps=1.0)
+            solve_path(np.zeros(7), "penalized", model, grid, NoisePlan(0, 3), eps=1.0)
         assert exc.value.step == 0
+        assert exc.value.stream == 3
+        assert exc.value.max_abs == 0.0  # the initial field
 
 
 class TestStepReflected:
@@ -124,7 +129,7 @@ class TestStepReflected:
             np.concatenate(([0.0], v_target[:-1])) + np.concatenate((v_target[1:], [0.0]))
         )
         ledger = ReflectionLedger.empty(grid.dx, (3,), record_full=True)
-        out = step_reflected(u_pre, model, grid, np.zeros(3), ledger)
+        out = _project(_drift_noise_solve(u_pre, np.zeros(3), model, grid), grid, ledger)
         assert out == pytest.approx([0.0, 0.3, 0.0], abs=1e-12)
         assert out[0] == 0.0 and out[2] == 0.0
         assert ledger.per_step[0] == pytest.approx([0.2 * grid.dx, 0.0, 0.0], abs=1e-12)
@@ -195,19 +200,15 @@ class TestSolvePath:
         assert traj.at(0.5) is not None
 
     def test_coupled_eps_ordering_at_snapshots(self):
-        # same noise realization, harder penalty dominates pointwise up to
-        # discretization slack at every saved (t, x)
-        from rspde.grid_noise import couple
-
+        # same noise realization (one plan drives both runs), harder penalty
+        # dominates pointwise up to discretization slack at every saved (t, x)
         grid = make_grid(63, 1e-3, 0.25)
         model = standard_model()
         h = nonneg_first_mode(grid, 0.5)
         plan = NoisePlan(42, 2)
         saves = [0.05, 0.1, 0.25]
-        strong = solve_path(h, "penalized", model, grid, couple(plan),
-                            save_at=saves, eps=1e-3)
-        weak = solve_path(h, "penalized", model, grid, couple(plan),
-                          save_at=saves, eps=1e-2)
+        strong = solve_path(h, "penalized", model, grid, plan, save_at=saves, eps=1e-3)
+        weak = solve_path(h, "penalized", model, grid, plan, save_at=saves, eps=1e-2)
         scale = max(float(np.max(np.abs(strong.fields))),
                     float(np.max(np.abs(weak.fields))))
         tol = 5.0 * (grid.dt + grid.dx**2) * scale

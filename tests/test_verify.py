@@ -9,6 +9,7 @@ from rspde.coefficients import BoundProfile, constant_model, standard_model, zet
 from rspde.grid_noise import NoisePlan, increments_matrix, make_grid
 from rspde.heat import spectral_basis
 from rspde.semigroup import (
+    Directions,
     bounded_cylinder,
     clipped_affine,
     direction_dictionary,
@@ -16,7 +17,7 @@ from rspde.semigroup import (
     exp_neg_pair,
     run_ensemble,
 )
-from rspde.solver import ReflectionLedger, step_reflected
+from rspde.solver import BlowUpError
 from rspde.verify import (
     check_eps_convergence,
     check_eps_monotonicity,
@@ -86,6 +87,14 @@ class TestGradientCheck:
         phi = clipped_affine(e1, grid.dx)
         with pytest.raises(ValueError):
             check_gradient_estimate(phi, h, 0.0, "reflected", model, grid, 16,
+                                    seed=1, directions=dirs)
+
+    def test_single_path_rejected(self, lab):
+        # one path gives standard errors of 0.0, which would let any lhs pass
+        grid, model, e1, h, dirs = lab
+        phi = clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0)
+        with pytest.raises(ValueError, match="n_paths"):
+            check_gradient_estimate(phi, h, 0.25, "reflected", model, grid, 1,
                                     seed=1, directions=dirs)
 
 
@@ -188,14 +197,14 @@ class TestVarianceAndLipschitz:
         step = bounded_cylinder(e1, grid.dx, center=center, lo=0.0, hi=1.0, smooth=False)
         delta = 1e-3
         raw = estimate_grad_Pt(step, h, 0.0, "reflected", model, grid, 8, seed=10,
-                               directions=(["e1"], [e1]), delta=delta)
+                               directions=Directions(["e1"], [e1]), delta=delta)
         smoothed = estimate_grad_Pt(step, h, 0.1, "reflected", model, grid, 300,
-                                    seed=10, directions=(["e1"], [e1]), delta=delta)
+                                    seed=10, directions=Directions(["e1"], [e1]), delta=delta)
         assert raw.value == pytest.approx(1.0 / (2 * delta))
         assert np.isfinite(smoothed.value)
         assert smoothed.value < 0.05 * raw.value
         report = check_lipschitz_Pt(step, h, 0.1, "reflected", model, grid, 300,
-                                    seed=10, directions=(["e1"], [e1]), delta=delta)
+                                    seed=10, directions=Directions(["e1"], [e1]), delta=delta)
         assert report.passed
 
 
@@ -211,6 +220,11 @@ class TestContinuityCheck:
         grid, model, _, h, _ = lab
         with pytest.raises(ValueError):
             check_initial_continuity(h, h, 2.0, "reflected", model, grid, 8, seed=1)
+
+    def test_single_path_rejected(self, lab):
+        grid, model, _, h, _ = lab
+        with pytest.raises(ValueError, match="n_paths"):
+            check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 1, seed=1)
 
     def test_linear_case_ratio_exactly_constant(self):
         # constant diffusion and zero drift: the coupled difference field is
@@ -256,6 +270,26 @@ class TestEpsExperiments:
         assert dists[0] > dists[1] > dists[2]
         assert report.inputs["reflected_min"] == 0.0
         assert report.inputs["complementarity_sum"] == 0.0
+
+    def test_convergence_single_path_rejected(self, lab):
+        grid, model, _, h, _ = lab
+        with pytest.raises(ValueError, match="n_paths"):
+            check_eps_convergence(h, model, grid, [1e-2, 1e-3], 1, seed=15)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("penalty", ["negative_part", "arctan_square"])
+    def test_blow_ups_raise(self, penalty):
+        # an infinite drift floods the first step; the runs must not turn the
+        # non-finite fields into a verdict
+        grid = make_grid(7, 0.1, 0.3)
+        model = constant_model(math.inf, 0.0, penalty=penalty)
+        h = np.zeros(grid.n_space)
+        with pytest.raises(BlowUpError) as mono:
+            check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, 4, seed=1)
+        with pytest.raises(BlowUpError) as conv:
+            check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1)
+        for exc in (mono, conv):
+            assert (exc.value.step, exc.value.stream) == (0, 0)
 
 
 class TestReportCsv:
