@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .coefficients import BoundProfile, constant_M, zeta
+from .coefficients import BoundProfile
 from .config import ConfigError
 from .grid_noise import NoisePlan, with_stream
 from .semigroup import functional_from_config
@@ -33,42 +33,27 @@ from .verify import (
     check_variance_bound,
 )
 
-__all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds", "cmd_converge_eps"]
+__all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds"]
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _provenance_line(cfg_hash, seed, stream):
-    return f"# config_hash={cfg_hash} seed={seed} stream={stream}\n"
-
-
-def _write_trajectory_csv(path, traj, cfg_hash, seed, stream):
+def _write_csv(path, columns: dict, cfg_hash, seed, stream):
+    """Provenance comment line, then a header of the column names and one
+    row of %.17g values per entry of the (equal-length) column arrays."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_provenance_line(cfg_hash, seed, stream))
+        fh.write(f"# config_hash={cfg_hash} seed={seed} stream={stream}\n")
         writer = csv.writer(fh)
-        writer.writerow(["t", "x", "u"])
-        dx = 1.0 / (traj.fields.shape[1] + 1)
-        xs = dx * np.arange(1, traj.fields.shape[1] + 1)
-        for t, field in zip(traj.times, traj.fields):
-            for xi, ui in zip(xs, field):
-                writer.writerow([_fmt(t), _fmt(xi), _fmt(ui)])
+        writer.writerow(columns)
+        writer.writerows(map(_fmt, row) for row in np.column_stack(list(columns.values())).tolist())
 
 
-def _write_ledger_csv(path, ledger, grid, cfg_hash, seed, stream):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_provenance_line(cfg_hash, seed, stream))
-        writer = csv.writer(fh)
-        writer.writerow(["x", "mass"])
-        for xi, mi in zip(grid.x, ledger.node_mass):
-            writer.writerow([_fmt(xi), _fmt(mi)])
-
-
-def _write_npz(path, traj, grid, cfg_hash, seed, stream):
-    np.savez(path, t=traj.times, x=grid.x, u=traj.fields,
-             config_hash=np.array(cfg_hash), seed=np.array(seed),
-             stream=np.array(stream))
+def _write_json(path, blob):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
@@ -77,12 +62,14 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
     run = cfg["run"]
     mode = run["mode"]
     eps = run.get("eps")
+    seed = run["seed"]
     save_at = run.get("save_at", [grid.t_final])
     h, clip_dist = cfgmod.initial_field(grid, run.get("h_modes", cfg.get("check", {}).get("h_modes")))
     os.makedirs(out_dir, exist_ok=True)
+    cfg_hash = cfgmod.config_hash(cfg)
     manifest = {
-        "config_hash": cfgmod.config_hash(cfg),
-        "seed": run["seed"],
+        "config_hash": cfg_hash,
+        "seed": seed,
         "mode": mode,
         "eps": eps,
         "model": model.name,
@@ -92,27 +79,26 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": [],
     }
-    plan = NoisePlan(run["seed"])
-    cfg_hash = manifest["config_hash"]
+    plan = NoisePlan(seed)
     for stream in range(run["n_paths"]):
         traj = solve_path(h, mode, model, grid, with_stream(plan, stream),
                           save_at=save_at, eps=eps)
         base = f"trajectory_{stream:03d}"
         if fmt in ("csv", "both"):
-            _write_trajectory_csv(os.path.join(out_dir, base + ".csv"), traj,
-                                  cfg_hash, run["seed"], stream)
+            columns = {"t": np.repeat(traj.times, grid.n_space),
+                       "x": np.tile(grid.x, len(traj.times)), "u": traj.fields.ravel()}
+            _write_csv(os.path.join(out_dir, base + ".csv"), columns, cfg_hash, seed, stream)
             manifest["files"].append(base + ".csv")
         if fmt in ("npz", "both"):
-            _write_npz(os.path.join(out_dir, base + ".npz"), traj, grid,
-                       cfg_hash, run["seed"], stream)
+            np.savez(os.path.join(out_dir, base + ".npz"), t=traj.times, x=grid.x,
+                     u=traj.fields, config_hash=np.array(cfg_hash), seed=np.array(seed),
+                     stream=np.array(stream))
             manifest["files"].append(base + ".npz")
         if mode == "reflected" and stream == 0:
-            _write_ledger_csv(os.path.join(out_dir, "ledger_000.csv"), traj.ledger,
-                              grid, cfg_hash, run["seed"], stream)
+            _write_csv(os.path.join(out_dir, "ledger_000.csv"),
+                       {"x": grid.x, "mass": traj.ledger.node_mass}, cfg_hash, seed, stream)
             manifest["files"].append("ledger_000.csv")
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return 0
 
 
@@ -125,6 +111,10 @@ def _run_named_check(name: str, cfg: dict, seed: int, n_paths: int, m_scale: flo
     eps = run.get("eps")
     t = float(chk.get("t", grid.t_final))
 
+    if name == "converge_eps":
+        ladder = run.get("eps_ladder", chk.get("eps_ladder", [1e-2, 1e-3, 1e-4]))
+        h, _ = cfgmod.initial_field(grid, chk.get("h_modes", run.get("h_modes")))
+        return check_eps_convergence(h, model, grid, ladder, n_paths, seed)
     if name == "comparison":
         h, _ = cfgmod.initial_field(grid, chk.get("h_modes"))
         return check_eps_monotonicity(
@@ -165,6 +155,11 @@ def _run_named_check(name: str, cfg: dict, seed: int, n_paths: int, m_scale: flo
 
 def cmd_check(name: str, cfg: dict, out_dir: str | None, seed_override=None,
               paths_override=None, m_scale: float = 1.0) -> int:
+    """Run a named check (or ``converge_eps``), print it, write report_NAME.json.
+
+    The overrides are recorded in the report's seed and inputs; the config
+    hash is that of the file as written.
+    """
     run = cfg["run"]
     seed = run["seed"] if seed_override is None else seed_override
     n_paths = run["n_paths"] if paths_override is None else paths_override
@@ -173,9 +168,7 @@ def cmd_check(name: str, cfg: dict, out_dir: str | None, seed_override=None,
     print(report)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, f"report_{name}.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, f"report_{name}.json"), report.to_json())
     return 0 if report.passed else 2
 
 
@@ -186,33 +179,12 @@ def cmd_bounds(L_b: float, L_sigma: float, kappa1: float, t_list, out=None) -> i
     for t in t_list:
         writer.writerow([
             _fmt(t),
-            _fmt(constant_M(L_b, L_sigma)),
-            _fmt(zeta(t, L_b, L_sigma)),
+            _fmt(profile.M),
+            _fmt(profile.zeta(t)),
             _fmt(profile.int_exp_neg_zeta(t)),
             _fmt(profile.harnack_rhs(t, 1.0, kappa1)),
         ])
     return 0
-
-
-def cmd_converge_eps(cfg: dict, out_dir: str | None, seed_override=None,
-                     paths_override=None) -> int:
-    grid = cfgmod.build_grid(cfg)
-    model = cfgmod.build_model(cfg)
-    run = cfg["run"]
-    chk = cfg.get("check", {})
-    seed = run["seed"] if seed_override is None else seed_override
-    n_paths = run["n_paths"] if paths_override is None else paths_override
-    ladder = run.get("eps_ladder", chk.get("eps_ladder", [1e-2, 1e-3, 1e-4]))
-    h, _ = cfgmod.initial_field(grid, chk.get("h_modes", run.get("h_modes")))
-    report = check_eps_convergence(h, model, grid, ladder, n_paths, seed)
-    report.config_hash = cfgmod.config_hash(cfg)
-    print(report)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report_converge_eps.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0 if report.passed else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -221,20 +193,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reflected stochastic heat equation laboratory: simulation and inequality checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run_args = argparse.ArgumentParser(add_help=False)
+    run_args.add_argument("--config", required=True)
+    run_args.add_argument("--seed", type=int, default=None)
+    run_args.add_argument("--paths", type=int, default=None)
 
-    p_sim = sub.add_parser("simulate", help="integrate trajectories and write CSV/npz + manifest")
-    p_sim.add_argument("--config", required=True)
+    p_sim = sub.add_parser("simulate", parents=[run_args],
+                           help="integrate trajectories and write CSV/npz + manifest")
     p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--paths", type=int, default=None)
     p_sim.add_argument("--format", choices=("csv", "npz", "both"), default="csv")
 
-    p_chk = sub.add_parser("check", help="run a named inequality/property check")
+    p_chk = sub.add_parser("check", parents=[run_args], help="run a named inequality/property check")
     p_chk.add_argument("name", choices=cfgmod.CHECK_NAMES)
-    p_chk.add_argument("--config", required=True)
     p_chk.add_argument("--out", default=None)
-    p_chk.add_argument("--seed", type=int, default=None)
-    p_chk.add_argument("--paths", type=int, default=None)
     p_chk.add_argument("--debug-scale-m", type=float, default=1.0,
                        help="rescale the smoothing constant M (fail-injection debugging)")
 
@@ -244,34 +215,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bnd.add_argument("--kappa1", type=float, required=True)
     p_bnd.add_argument("--t", type=float, nargs="+", required=True)
 
-    p_cnv = sub.add_parser("converge-eps", help="penalized-to-reflected convergence ladder")
-    p_cnv.add_argument("--config", required=True)
+    p_cnv = sub.add_parser("converge-eps", parents=[run_args],
+                           help="penalized-to-reflected convergence ladder")
     p_cnv.add_argument("--out", default=None)
-    p_cnv.add_argument("--seed", type=int, default=None)
-    p_cnv.add_argument("--paths", type=int, default=None)
+    p_cnv.set_defaults(name="converge_eps", debug_scale_m=1.0)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "bounds":
+            return cmd_bounds(args.L_b, args.L_sigma, args.kappa1, args.t)
+        cfg = cfgmod.load_config(args.config)
         if args.command == "simulate":
-            cfg = cfgmod.load_config(args.config)
+            # simulate hashes the config with its overrides written in
             if args.seed is not None:
                 cfg["run"]["seed"] = args.seed
             if args.paths is not None:
                 cfg["run"]["n_paths"] = args.paths
             return cmd_simulate(cfg, args.out, args.format)
-        if args.command == "check":
-            cfg = cfgmod.load_config(args.config)
-            return cmd_check(args.name, cfg, args.out, args.seed, args.paths,
-                             args.debug_scale_m)
-        if args.command == "bounds":
-            return cmd_bounds(args.L_b, args.L_sigma, args.kappa1, args.t)
-        if args.command == "converge-eps":
-            cfg = cfgmod.load_config(args.config)
-            return cmd_converge_eps(cfg, args.out, args.seed, args.paths)
-        raise AssertionError("unreachable")
+        return cmd_check(args.name, cfg, args.out, args.seed, args.paths, args.debug_scale_m)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

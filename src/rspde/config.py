@@ -15,7 +15,8 @@ import json
 import numpy as np
 
 from .coefficients import MODEL_CATALOGUE, CoefficientModel, model_from_config
-from .grid_noise import SpaceTimeGrid, make_grid, sine_profile
+from .grid_noise import SpaceTimeGrid, make_grid, project_nonneg, sine_profile
+from .semigroup import functional_from_config
 
 __all__ = [
     "ConfigError",
@@ -70,6 +71,15 @@ def _need(block: dict, block_name: str, key: str, types, pred=None, desc=""):
     return val
 
 
+def _positive_list(block: dict, block_name: str, key: str) -> None:
+    if key in block:
+        vals = block[key]
+        if not isinstance(vals, list) or not vals or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in vals
+        ):
+            raise ConfigError(f"{block_name}.{key}: must be a non-empty list of positive numbers")
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -110,12 +120,7 @@ def validate_config(cfg: dict) -> None:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in r["save_at"]
         ):
             raise ConfigError("run.save_at: must be a list of times")
-    if "eps_ladder" in r:
-        lad = r["eps_ladder"]
-        if not isinstance(lad, list) or not all(
-            isinstance(v, (int, float)) and v > 0 for v in lad
-        ):
-            raise ConfigError("run.eps_ladder: must be a list of positive numbers")
+    _positive_list(r, "run", "eps_ladder")
 
     if "check" in cfg:
         c = cfg["check"]
@@ -125,10 +130,21 @@ def validate_config(cfg: dict) -> None:
         for key in ("h_modes", "h1_modes", "h2_modes"):
             if key in c and not isinstance(c[key], list):
                 raise ConfigError(f"check.{key}: must be a list of mode coefficients")
+        for key in ("ladder", "eps_ladder"):
+            _positive_list(c, "check", key)
+        for key in ("eps_big", "eps_small"):
+            if key in c:
+                _need(c, "check", key, (int, float), lambda v: v > 0, "> 0")
         if "functional" in c:
             f = c["functional"]
             if not isinstance(f, dict) or "kind" not in f:
                 raise ConfigError("check.functional: must be an object with a 'kind'")
+            try:
+                functional_from_config(build_grid(cfg), f)
+            except KeyError as exc:
+                raise ConfigError(f"check.functional: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"check.functional: {exc}") from exc
 
 
 def build_grid(cfg: dict) -> SpaceTimeGrid:
@@ -147,6 +163,4 @@ def initial_field(grid: SpaceTimeGrid, modes) -> tuple[np.ndarray, float]:
     Returns (field, clip distance in sup norm); projection guarantees the
     run starts inside the admissible set.
     """
-    raw = sine_profile(grid, modes or [])
-    clipped = np.maximum(raw, 0.0)
-    return clipped, float(np.max(clipped - raw, initial=0.0))
+    return project_nonneg(sine_profile(grid, modes or []))

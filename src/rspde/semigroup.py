@@ -324,6 +324,15 @@ def _check_n_paths(n_paths: int) -> None:
         raise ValueError(f"n_paths must be >= 2 for a standard error, got {n_paths}")
 
 
+def _check_positive(name: str, *values) -> None:
+    """ValueError naming ``name`` unless it has values and each one is > 0."""
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    for v in values:
+        if not v > 0:
+            raise ValueError(f"{name} must be > 0, got {v!r}")
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
@@ -463,6 +472,7 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     labels, fields = directions
     if delta is None:
         delta = 1e-3 * max(float(l2_norm(h, grid.dx)), 1.0)
+    _check_positive("delta", delta)
 
     variants = []
     kept = []

@@ -115,13 +115,14 @@ def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str) -> np.ndarra
 
     For f(u) = max(-u,0) the solve is closed form: u = v where v >= 0, else
     v/(1 + dt/eps).  For the arctan penalty a safeguarded Newton sweep runs
-    to 1e-12 on the negative branch.
+    to 1e-12 on the finite negative entries; non-finite entries pass through
+    for the finite check to report.
     """
     if kind == "negative_part":
         return np.where(v >= 0.0, v, v / (1.0 + dt_over_eps))
     if kind == "arctan_square":
         u = np.array(v, dtype=float, copy=True)
-        neg = v < 0.0
+        neg = (v < 0.0) & np.isfinite(v)
         if np.any(neg):
             vn = v[neg]
             # root lies in [vn, 0]; Newton with a bisection safeguard so the
@@ -256,13 +257,14 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     return Trajectory(times=times, fields=fields, initial=h.copy(), ledger=ledger, meta=meta)
 
 
-def solve_tangent(u_path: Trajectory, k, eps, model: CoefficientModel,
-                  grid: SpaceTimeGrid, plan: NoisePlan) -> Trajectory:
+def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
+                  grid: SpaceTimeGrid) -> Trajectory:
     """Integrate the derivative flow along the stored penalized path.
 
-    The base path is regenerated from (initial, plan) step by step -- by
-    determinism this reproduces u_path exactly -- while the linearized update
-    runs in lockstep with the same noise increments.  The result is the exact
+    eps and the noise plan come from ``u_path.meta``.  The base path is
+    regenerated from (initial, plan) step by step -- by determinism this
+    reproduces u_path exactly -- while the linearized update runs in
+    lockstep with the same noise increments.  The result is the exact
     derivative of the discrete one-step map, with the penalty stage
     differentiated through the resolvent.
     """
@@ -270,13 +272,13 @@ def solve_tangent(u_path: Trajectory, k, eps, model: CoefficientModel,
         raise UnsupportedModelError(
             f"model {model.name!r} has no declared derivatives; tangent flow unavailable"
         )
-    if u_path.meta.get("mode") != "penalized":
+    meta = u_path.meta
+    if meta.get("mode") != "penalized":
         raise ValueError("tangent flow is defined along penalized paths")
-    if eps is None or eps <= 0:
-        raise ValueError("eps must be > 0")
+    plan = NoisePlan(meta["master_seed"], meta["stream_id"], meta["counter"])
     k = np.asarray(k, dtype=float)
     solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
-    q = grid.dt / eps
+    q = grid.dt / meta["eps"]
     save_steps = [grid.step_of(t) for t in u_path.times]
     snapshots = {}
     u = u_path.initial.copy()
@@ -294,8 +296,8 @@ def solve_tangent(u_path: Trajectory, k, eps, model: CoefficientModel,
             snapshots[m + 1] = v.copy()
     times = np.array([s * grid.dt for s in save_steps])
     fields = np.stack([snapshots[s] for s in save_steps]) if snapshots else np.empty((0, grid.n_space))
-    meta = dict(u_path.meta, mode="tangent", eps=eps)
-    return Trajectory(times=times, fields=fields, initial=k.copy(), ledger=None, meta=meta)
+    return Trajectory(times=times, fields=fields, initial=k.copy(), ledger=None,
+                      meta=dict(meta, mode="tangent"))
 
 
 def deterministic_obstacle(v, grid: SpaceTimeGrid):

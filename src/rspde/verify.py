@@ -19,6 +19,8 @@ from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm, su
 from .semigroup import (
     Functional,
     _check_n_paths,
+    _check_positive,
+    _mean_se,
     estimate_grad_Pt,
     estimate_Pt,
     estimate_Pt_grad_sq,
@@ -249,6 +251,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     h2 = np.asarray(h2, float)
     if p < 1:
         raise ValueError("p must be >= 1")
+    _check_positive("ladder", *ladder)
     _check_n_paths(n_paths)
     diff = h2 - h1
     if float(sup_norm(diff)) == 0.0:
@@ -261,9 +264,8 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     ses = {}
     for j, s in enumerate(ladder):
         denom = float(sup_norm(s * diff)) ** p
-        vals = sups[j] ** p / denom
-        ratios.append(float(np.mean(vals)))
-        ses[f"s={s:g}"] = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
+        mean, ses[f"s={s:g}"] = _mean_se(sups[j] ** p / denom)
+        ratios.append(mean)
     spread = max(ratios) / min(ratios)
     return CheckReport(
         check="continuity",
@@ -271,7 +273,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
         lhs=spread,
         rhs=2.0,
         std_errors=ses,
-        margin_ratio=2.0 / spread if spread > 0 else math.inf,
+        margin_ratio=_margin(spread, 2.0),
         inputs={"p": p, "ladder": list(ladder), "ratios": ratios,
                 "sup_diffs": [float(sup_norm(s * diff)) for s in ladder],
                 "n_paths": n_paths, "model": model.name},
@@ -289,6 +291,8 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
     u_small < u_big - 5 (dt + dx^2) * (running max |u|); passes when the
     violating fraction stays below ``max_violation_fraction``.
     """
+    _check_positive("eps_big", eps_big)
+    _check_positive("eps_small", eps_small)
     if not eps_small < eps_big:
         raise ValueError("need eps_small < eps_big")
     h = np.asarray(h, float)
@@ -325,7 +329,7 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         lhs=fraction,
         rhs=max_violation_fraction,
         std_errors={},
-        margin_ratio=max_violation_fraction / fraction if fraction > 0 else math.inf,
+        margin_ratio=_margin(fraction, max_violation_fraction),
         inputs={"eps_big": eps_big, "eps_small": eps_small, "n_paths": n_paths,
                 "worst_violation": worst, "points_checked": total, "model": model.name},
         seed=seed,
@@ -338,6 +342,7 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     distance E[sup_{t,x} |u_eps - u_reflected|] must decrease along a
     decreasing eps ladder, and the reflected run must stay exactly
     nonnegative."""
+    _check_positive("eps_ladder", *eps_ladder)
     _check_n_paths(n_paths)
     eps_ladder = sorted(eps_ladder, reverse=True)
     h = np.asarray(h, float)
@@ -361,7 +366,8 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         min_reflected = min(min_reflected, float(np.min(u_ref)))
         for j in range(n_eps):
             np.maximum(sup_dist[j], np.max(np.abs(U[:, j, :] - u_ref), axis=0), out=sup_dist[j])
-    means = [float(np.mean(sup_dist[j])) for j in range(n_eps)]
+    stats = [_mean_se(sup_dist[j]) for j in range(n_eps)]
+    means = [mean for mean, _ in stats]
     decreasing = all(means[j + 1] < means[j] for j in range(n_eps - 1))
     nonneg = min_reflected >= 0.0
     return CheckReport(
@@ -369,9 +375,8 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         passed=decreasing and nonneg,
         lhs=means[-1],
         rhs=means[0],
-        std_errors={f"eps={e:g}": float(np.std(sup_dist[j], ddof=1) / math.sqrt(n_paths))
-                    for j, e in enumerate(eps_ladder)},
-        margin_ratio=means[0] / means[-1] if means[-1] > 0 else math.inf,
+        std_errors={f"eps={e:g}": se for e, (_, se) in zip(eps_ladder, stats)},
+        margin_ratio=_margin(means[-1], means[0]),
         inputs={"eps_ladder": list(eps_ladder), "sup_distances": means,
                 "reflected_min": min_reflected, "n_paths": n_paths, "model": model.name,
                 "ledger_total": ledger.total,

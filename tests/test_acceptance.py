@@ -135,7 +135,7 @@ def test_criterion_05_tangent_consistency(standard_lab):
         base = solve_path(h, "penalized", model, grid, plan, save_at=[0.25], eps=eps)
         bumped = solve_path(np.maximum(h + delta * e1, 0.0), "penalized", model,
                             grid, plan, save_at=[0.25], eps=eps)
-        tang = solve_tangent(base, e1, eps, model, grid, plan)
+        tang = solve_tangent(base, e1, model, grid)
         fd = (bumped.at(0.25) - base.at(0.25)) / delta
         v = tang.at(0.25)
         worst = max(worst, float(l2_norm(v - fd, grid.dx) / l2_norm(v, grid.dx)))

@@ -11,6 +11,8 @@ import pytest
 from rspde.cli import cmd_bounds, main
 from rspde.config import (
     ConfigError,
+    build_grid,
+    build_model,
     config_hash,
     dumps_config,
     initial_field,
@@ -19,6 +21,7 @@ from rspde.config import (
 )
 from rspde.grid_noise import make_grid
 from rspde.heat import heat_apply, spectral_basis
+from rspde.verify import check_eps_convergence
 
 
 def base_config(**overrides):
@@ -92,6 +95,24 @@ class TestConfigSchema:
         cfg = base_config()
         cfg["grid"]["t_final"] = 0.0505
         with pytest.raises(ConfigError, match="grid.t_final"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("check", "ladder", [1.0, 0.0]),
+        ("check", "ladder", []),
+        ("check", "eps_ladder", []),
+        ("check", "eps_ladder", [1e-2, -1e-3]),
+        ("check", "eps_big", 0.0),
+        ("check", "eps_small", -1.0),
+        ("check", "functional", {"kind": "clipped_affine"}),
+        ("check", "functional", {"kind": "clipped_affine", "direction_modes": [1.0],
+                                 "slope": 2.0}),
+        ("run", "eps_ladder", []),
+    ])
+    def test_rejects_bad_ladder_eps_or_functional_naming_field(self, block, key, value):
+        cfg = base_config(check={"name": "continuity"})
+        cfg[block][key] = value
+        with pytest.raises(ConfigError, match=f"{block}.{key}"):
             validate_config(cfg)
 
     def test_initial_field_projection_reported(self):
@@ -219,6 +240,39 @@ class TestCheckCommand:
         cfg["run"]["n_paths"] = 4
         path = write_config(tmp_path, cfg)
         assert main(["converge-eps", "--config", path]) == 0
+
+    def test_converge_eps_report_equals_check(self, tmp_path, capsys):
+        cfg = self.check_config()
+        cfg["check"] = {"name": "comparison", "h_modes": [0.5]}
+        cfg["run"]["eps_ladder"] = [1e-2, 1e-3, 1e-4]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        code = main(["converge-eps", "--config", path, "--seed", "9", "--paths", "3",
+                     "--out", str(out)])
+        grid = build_grid(cfg)
+        h, _ = initial_field(grid, [0.5])
+        expected = check_eps_convergence(h, build_model(cfg), grid, [1e-2, 1e-3, 1e-4], 3, 9)
+        expected.config_hash = config_hash(cfg)  # the file as written, no overrides
+        assert code == (0 if expected.passed else 2)
+        assert capsys.readouterr().out == f"{expected}\n"
+        text = (out / "report_converge_eps.json").read_text()
+        assert text == json.dumps(expected.to_json(), indent=2, sort_keys=True) + "\n"
+        assert json.loads(text)["seed"] == 9 and json.loads(text)["inputs"]["n_paths"] == 3
+
+    def test_zero_ladder_rung_exit_1_names_field(self, tmp_path, capsys):
+        cfg = self.check_config()
+        cfg["check"] = {"name": "continuity", "h1_modes": [0.5], "h2_modes": [0.6],
+                        "ladder": [1.0, 0.0]}
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "continuity", "--config", path]) == 1
+        assert "check.ladder" in capsys.readouterr().err
+
+    def test_functional_without_direction_exit_1_names_field(self, tmp_path, capsys):
+        cfg = self.gradient_config()
+        del cfg["check"]["functional"]["direction_modes"]
+        path = write_config(tmp_path, cfg)
+        assert main(["check", "gradient", "--config", path]) == 1
+        assert "check.functional" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["variance", "lipschitz", "continuity"])
     def test_remaining_check_dispatch(self, tmp_path, name):

@@ -414,6 +414,15 @@ class TestEstimateGrad:
             estimate_grad_Pt(phi, np.zeros(grid.n_space), 0.0, "reflected", model,
                              grid, 16, seed=2)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3])
+    def test_nonpositive_delta_rejected(self, small, delta):
+        # delta = 0 divided by zero into a nan estimate with a nan std error
+        grid, model, e1, h = small
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        with pytest.raises(ValueError, match="delta"):
+            estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
+                             directions=[e1], delta=delta)
+
     def test_accepts_bare_direction_list(self, small):
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)

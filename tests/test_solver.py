@@ -61,6 +61,14 @@ class TestPenaltyResolvent:
         assert np.all(u[v < 0] > v[v < 0])
         assert np.all(u[v < 0] <= 0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_arctan_passes_non_finite_entries_through(self):
+        v = np.array([-0.5, -math.inf, 0.3, math.nan, -2.0])
+        u = penalty_resolvent(v, 50.0, "arctan_square")
+        finite = np.isfinite(v)
+        assert np.array_equal(u[finite], penalty_resolvent(v[finite], 50.0, "arctan_square"))
+        assert u[1] == -math.inf and math.isnan(u[3])
+
     def test_derivative_convention_at_zero(self):
         d = penalty_resolvent_deriv(np.array([-1.0, 0.0, 1.0]), 4.0, "negative_part")
         assert np.array_equal(d, [0.2, 1.0, 1.0])
@@ -115,6 +123,17 @@ class TestStepPenalized:
         assert exc.value.step == 0
         assert exc.value.stream == 3
         assert exc.value.max_abs == 0.0  # the initial field
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("penalty", ["negative_part", "arctan_square"])
+    def test_minus_inf_drift_reports_step_and_stream(self, penalty):
+        # the arctan Newton sweep used to spin on the -inf entries and raise
+        # a bare "did not converge" before the finite check could name them
+        grid = make_grid(7, 0.1, 0.3)
+        model = constant_model(-math.inf, penalty=penalty)
+        with pytest.raises(BlowUpError) as exc:
+            solve_path(np.zeros(7), "penalized", model, grid, NoisePlan(0), eps=1e-2)
+        assert (exc.value.step, exc.value.stream) == (0, 0)
 
 
 class TestStepReflected:
@@ -228,13 +247,13 @@ class TestSolveTangent:
 
     def test_zero_direction_stays_zero(self, setup):
         grid, model, h, plan, base = setup
-        tang = solve_tangent(base, np.zeros(grid.n_space), 1e-3, model, grid, plan)
+        tang = solve_tangent(base, np.zeros(grid.n_space), model, grid)
         assert np.array_equal(tang.fields, np.zeros_like(tang.fields))
 
     def test_nonnegative_direction_stays_nonnegative(self, setup):
         grid, model, h, plan, base = setup
         k = nonneg_first_mode(grid)
-        tang = solve_tangent(base, k, 1e-3, model, grid, plan)
+        tang = solve_tangent(base, k, model, grid)
         tol = 5.0 * (grid.dt + grid.dx**2) * float(np.max(np.abs(tang.fields)))
         assert float(np.min(tang.fields)) >= -tol
 
@@ -242,17 +261,17 @@ class TestSolveTangent:
         grid, model, h, plan, base = setup
         basis = spectral_basis(grid.n_space)
         k1, k2 = basis.modes[0], basis.modes[1]
-        t1 = solve_tangent(base, k1, 1e-3, model, grid, plan)
-        t2 = solve_tangent(base, k2, 1e-3, model, grid, plan)
-        t12 = solve_tangent(base, k1 + k2, 1e-3, model, grid, plan)
+        t1 = solve_tangent(base, k1, model, grid)
+        t2 = solve_tangent(base, k2, model, grid)
+        t12 = solve_tangent(base, k1 + k2, model, grid)
         scale = np.max(np.abs(t12.fields))
         assert np.max(np.abs(t12.fields - (t1.fields + t2.fields))) < 1e-10 * scale
 
     def test_positive_homogeneity_exact(self, setup):
         grid, model, h, plan, base = setup
         k = spectral_basis(grid.n_space).modes[0]
-        t1 = solve_tangent(base, k, 1e-3, model, grid, plan)
-        t2 = solve_tangent(base, 2.0 * k, 1e-3, model, grid, plan)
+        t1 = solve_tangent(base, k, model, grid)
+        t2 = solve_tangent(base, 2.0 * k, model, grid)
         assert np.array_equal(t2.fields, 2.0 * t1.fields)
 
     def test_matches_coupled_finite_difference(self, setup):
@@ -264,10 +283,22 @@ class TestSolveTangent:
             b0 = solve_path(h, "penalized", model, grid, p, save_at=[0.25], eps=1e-3)
             b1 = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, p,
                             save_at=[0.25], eps=1e-3)
-            tang = solve_tangent(b0, k, 1e-3, model, grid, p)
+            tang = solve_tangent(b0, k, model, grid)
             fd = (b1.at(0.25) - b0.at(0.25)) / delta
             rel = l2_norm(tang.at(0.25) - fd, grid.dx) / l2_norm(tang.at(0.25), grid.dx)
             assert rel < 0.01
+
+    def test_reads_eps_and_plan_from_path(self, setup):
+        grid, model, h, _, _ = setup
+        k = spectral_basis(grid.n_space).modes[0]
+        delta, plan = 1e-4, NoisePlan(3, 2)
+        base = solve_path(h, "penalized", model, grid, plan, save_at=[0.25], eps=1e-2)
+        bumped = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, plan,
+                            save_at=[0.25], eps=1e-2)
+        tang = solve_tangent(base, k, model, grid)
+        assert tang.meta == dict(base.meta, mode="tangent")
+        fd = (bumped.at(0.25) - base.at(0.25)) / delta
+        assert l2_norm(tang.at(0.25) - fd, grid.dx) < 0.01 * l2_norm(tang.at(0.25), grid.dx)
 
     def test_rejects_nondifferentiable_model(self, setup):
         grid, model, h, plan, base = setup
@@ -276,13 +307,13 @@ class TestSolveTangent:
         clamped = affine_clamped_model()
         base2 = solve_path(h, "penalized", clamped, grid, plan, save_at=[0.25], eps=1e-3)
         with pytest.raises(UnsupportedModelError):
-            solve_tangent(base2, h, 1e-3, clamped, grid, plan)
+            solve_tangent(base2, h, clamped, grid)
 
     def test_rejects_reflected_base_path(self, setup):
         grid, model, h, plan, _ = setup
         refl = solve_path(h, "reflected", model, grid, plan, save_at=[0.25])
         with pytest.raises(ValueError):
-            solve_tangent(refl, h, 1e-3, model, grid, plan)
+            solve_tangent(refl, h, model, grid)
 
 
 class TestDeterministicObstacle:

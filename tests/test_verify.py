@@ -226,6 +226,14 @@ class TestContinuityCheck:
         with pytest.raises(ValueError, match="n_paths"):
             check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 1, seed=1)
 
+    @pytest.mark.parametrize("ladder", [(), (1.0, 0.0), (1.0, -0.5)])
+    def test_empty_or_nonpositive_ladder_rejected(self, lab, ladder):
+        # a zero rung made a nan ratio that max/min skipped, giving PASS
+        grid, model, _, h, _ = lab
+        with pytest.raises(ValueError, match="ladder"):
+            check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 4, seed=1,
+                                     ladder=ladder)
+
     def test_linear_case_ratio_exactly_constant(self):
         # constant diffusion and zero drift: the coupled difference field is
         # deterministic, so the normalized ratios coincide across the ladder
@@ -261,6 +269,18 @@ class TestEpsExperiments:
         grid, model, _, h, _ = lab
         with pytest.raises(ValueError):
             check_eps_monotonicity(h, model, grid, 1e-3, 1e-2, 4, seed=1)
+
+    @pytest.mark.parametrize("eps_small", [0.0, -1.0])
+    def test_monotonicity_rejects_nonpositive_eps(self, lab, eps_small):
+        grid, model, _, h, _ = lab
+        with pytest.raises(ValueError, match="eps_small"):
+            check_eps_monotonicity(h, model, grid, 1e-2, eps_small, 4, seed=1)
+
+    @pytest.mark.parametrize("ladder", [[], [1e-2, 0.0], [1e-2, -1e-3]])
+    def test_convergence_rejects_empty_or_nonpositive_ladder(self, lab, ladder):
+        grid, model, _, h, _ = lab
+        with pytest.raises(ValueError, match="eps_ladder"):
+            check_eps_convergence(h, model, grid, ladder, 4, seed=1)
 
     def test_convergence_ladder_small_run(self, lab):
         grid, model, _, h, _ = lab
