@@ -102,13 +102,16 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
     return 0
 
 
-def _run_named_check(name: str, cfg: dict, seed: int, n_paths: int, m_scale: float):
+_BOUND_CHECKS = {"gradient": check_gradient_estimate, "variance": check_variance_bound,
+                 "lipschitz": check_lipschitz_Pt, "log-harnack": check_log_harnack}
+
+
+def _run_named_check(name: str, cfg: dict, m_scale: float):
     grid = cfgmod.build_grid(cfg)
     model = cfgmod.build_model(cfg)
     run = cfg["run"]
     chk = cfg.get("check", {})
-    mode = run["mode"]
-    eps = run.get("eps")
+    mode, eps, seed, n_paths = run["mode"], run.get("eps"), run["seed"], run["n_paths"]
     t = float(chk.get("t", grid.t_final))
 
     if name == "converge_eps":
@@ -131,40 +134,27 @@ def _run_named_check(name: str, cfg: dict, seed: int, n_paths: int, m_scale: flo
             n_paths=n_paths, seed=seed, eps=eps,
             ladder=tuple(chk.get("ladder", (1.0, 0.5, 0.25))),
         )
-
+    if name not in _BOUND_CHECKS:
+        raise ConfigError(f"check.name: unknown check {name!r}")
+    if "functional" not in chk:
+        raise ConfigError(f"check.functional: missing required field for the {name} check")
     phi = functional_from_config(grid, chk["functional"])
-    if name == "gradient":
-        h, _ = cfgmod.initial_field(grid, chk.get("h_modes"))
-        return check_gradient_estimate(phi, h, t, mode, model, grid, n_paths, seed,
-                                       eps=eps, m_scale=m_scale)
     if name == "log-harnack":
-        h1, _ = cfgmod.initial_field(grid, chk.get("h1_modes"))
-        h2, _ = cfgmod.initial_field(grid, chk.get("h2_modes"))
-        return check_log_harnack(phi, h1, h2, t, mode, model, grid, n_paths, seed,
-                                 eps=eps, m_scale=m_scale)
-    if name == "variance":
-        h, _ = cfgmod.initial_field(grid, chk.get("h_modes"))
-        return check_variance_bound(phi, h, t, mode, model, grid, n_paths, seed,
-                                    eps=eps, m_scale=m_scale)
-    if name == "lipschitz":
-        h, _ = cfgmod.initial_field(grid, chk.get("h_modes"))
-        return check_lipschitz_Pt(phi, h, t, mode, model, grid, n_paths, seed,
-                                  eps=eps, m_scale=m_scale)
-    raise ConfigError(f"check.name: unknown check {name!r}")
+        fields = [cfgmod.initial_field(grid, chk.get(key))[0] for key in ("h1_modes", "h2_modes")]
+    else:
+        fields = [cfgmod.initial_field(grid, chk.get("h_modes"))[0]]
+    return _BOUND_CHECKS[name](phi, *fields, t, mode, model, grid, n_paths, seed,
+                               eps=eps, m_scale=m_scale)
 
 
-def cmd_check(name: str, cfg: dict, out_dir: str | None, seed_override=None,
-              paths_override=None, m_scale: float = 1.0) -> int:
+def cmd_check(name: str, cfg: dict, out_dir: str | None, m_scale: float, cfg_hash: str) -> int:
     """Run a named check (or ``converge_eps``), print it, write report_NAME.json.
 
-    The overrides are recorded in the report's seed and inputs; the config
-    hash is that of the file as written.
+    The report is stamped with cfg_hash: ``main`` passes the hash of the
+    config file as written, not of cfg with the overrides written in.
     """
-    run = cfg["run"]
-    seed = run["seed"] if seed_override is None else seed_override
-    n_paths = run["n_paths"] if paths_override is None else paths_override
-    report = _run_named_check(name, cfg, seed, n_paths, m_scale)
-    report.config_hash = cfgmod.config_hash(cfg)
+    report = _run_named_check(name, cfg, m_scale)
+    report.config_hash = cfg_hash
     print(report)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -227,15 +217,13 @@ def main(argv=None) -> int:
     try:
         if args.command == "bounds":
             return cmd_bounds(args.L_b, args.L_sigma, args.kappa1, args.t)
-        cfg = cfgmod.load_config(args.config)
-        if args.command == "simulate":
-            # simulate hashes the config with its overrides written in
-            if args.seed is not None:
-                cfg["run"]["seed"] = args.seed
-            if args.paths is not None:
-                cfg["run"]["n_paths"] = args.paths
+        file_cfg = cfgmod.load_config(args.config)
+        overrides = {k: v for k, v in (("seed", args.seed), ("n_paths", args.paths)) if v is not None}
+        cfg = {**file_cfg, "run": {**file_cfg["run"], **overrides}}
+        cfgmod.validate_config(cfg)
+        if args.command == "simulate":  # hashes the config with its overrides written in
             return cmd_simulate(cfg, args.out, args.format)
-        return cmd_check(args.name, cfg, args.out, args.seed, args.paths, args.debug_scale_m)
+        return cmd_check(args.name, cfg, args.out, args.debug_scale_m, cfgmod.config_hash(file_cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

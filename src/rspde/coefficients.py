@@ -92,7 +92,10 @@ class CoefficientModel:
     penalty_kind: str = "negative_part"
     db: Callable[[np.ndarray], np.ndarray] | None = None
     dsigma: Callable[[np.ndarray], np.ndarray] | None = None
-    params: tuple = ()
+
+    def __post_init__(self):
+        if self.penalty_kind not in _PENALTIES:
+            raise ValueError(f"penalty must be one of {sorted(_PENALTIES)}, got {self.penalty_kind!r}")
 
     @property
     def differentiable(self) -> bool:
@@ -119,7 +122,6 @@ def constant_model(b0: float = 0.0, s0: float = 0.0, *, penalty: str = "negative
         penalty_kind=penalty,
         db=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
         dsigma=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        params=(("b0", b0), ("s0", s0)),
     )
 
 
@@ -143,10 +145,6 @@ def affine_clamped_model(b_slope: float = 0.5, b_shift: float = 0.0, b_clip: flo
         kappa1=s_lo,
         kappa2=s_hi,
         penalty_kind=penalty,
-        params=(
-            ("b_slope", b_slope), ("b_shift", b_shift), ("b_clip", b_clip),
-            ("s_slope", s_slope), ("s_shift", s_shift), ("s_lo", s_lo), ("s_hi", s_hi),
-        ),
     )
 
 
@@ -168,10 +166,6 @@ def sin_modulated_model(b_amp: float = 1.0, b_freq: float = 1.0,
         penalty_kind=penalty,
         db=lambda u: b_amp * b_freq * np.cos(b_freq * u),
         dsigma=lambda u: s_amp * s_freq * np.cos(s_freq * u),
-        params=(
-            ("b_amp", b_amp), ("b_freq", b_freq),
-            ("s_base", s_base), ("s_amp", s_amp), ("s_freq", s_freq),
-        ),
     )
 
 

@@ -80,6 +80,20 @@ def _positive_list(block: dict, block_name: str, key: str) -> None:
             raise ConfigError(f"{block_name}.{key}: must be a non-empty list of positive numbers")
 
 
+def _on_mesh(grid: SpaceTimeGrid, field: str, times) -> None:
+    for t in times:
+        try:
+            grid.step_of(t)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
+
+
+def _mode_lists(block: dict, block_name: str, *keys) -> None:
+    for key in keys:
+        if key in block and not isinstance(block[key], list):
+            raise ConfigError(f"{block_name}.{key}: must be a list of mode coefficients")
+
+
 def validate_config(cfg: dict) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -94,6 +108,7 @@ def validate_config(cfg: dict) -> None:
     ratio = t_final / dt
     if abs(ratio - round(ratio)) > 1e-3 * max(1.0, ratio):
         raise ConfigError("grid.t_final: not an integer multiple of dt within 0.1%")
+    grid = build_grid(cfg)
 
     m = cfg["model"]
     name = _need(m, "model", "name", str, lambda v: v in MODEL_CATALOGUE,
@@ -103,9 +118,7 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError("model.params: must be an object")
     try:
         model_from_config(name, params)
-    except TypeError as exc:
-        raise ConfigError(f"model.params: {exc}") from exc
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"model.params: {exc}") from exc
 
     r = cfg["run"]
@@ -120,6 +133,8 @@ def validate_config(cfg: dict) -> None:
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in r["save_at"]
         ):
             raise ConfigError("run.save_at: must be a list of times")
+        _on_mesh(grid, "run.save_at", r["save_at"])
+    _mode_lists(r, "run", "h_modes")
     _positive_list(r, "run", "eps_ladder")
 
     if "check" in cfg:
@@ -127,9 +142,11 @@ def validate_config(cfg: dict) -> None:
         if not isinstance(c, dict):
             raise ConfigError("check: must be an object")
         _need(c, "check", "name", str, lambda v: v in CHECK_NAMES, f"one of {CHECK_NAMES}")
-        for key in ("h_modes", "h1_modes", "h2_modes"):
-            if key in c and not isinstance(c[key], list):
-                raise ConfigError(f"check.{key}: must be a list of mode coefficients")
+        _mode_lists(c, "check", "h_modes", "h1_modes", "h2_modes")
+        if "t" in c:
+            _on_mesh(grid, "check.t", [_need(c, "check", "t", (int, float), lambda v: v > 0, "> 0")])
+        if "p" in c:
+            _need(c, "check", "p", (int, float), lambda v: v >= 1, ">= 1")
         for key in ("ladder", "eps_ladder"):
             _positive_list(c, "check", key)
         for key in ("eps_big", "eps_small"):
@@ -140,7 +157,7 @@ def validate_config(cfg: dict) -> None:
             if not isinstance(f, dict) or "kind" not in f:
                 raise ConfigError("check.functional: must be an object with a 'kind'")
             try:
-                functional_from_config(build_grid(cfg), f)
+                functional_from_config(grid, f)
             except KeyError as exc:
                 raise ConfigError(f"check.functional: missing field {exc}") from exc
             except (TypeError, ValueError) as exc:

@@ -84,6 +84,12 @@ class Functional:
     sharpness: float = 1.0
     smooth: bool = True
 
+    def __post_init__(self):
+        if self.kind not in _FUNCTIONAL_BUILDERS:
+            raise ValueError(f"unknown functional kind {self.kind!r}")
+        if self.lo > self.hi:
+            raise ValueError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
+
     @property
     def phi_l2(self) -> float:
         return float(l2_norm(self.phi, self.dx))
@@ -95,10 +101,6 @@ class Functional:
     @property
     def lower_bound(self) -> float:
         return self.lo
-
-    @property
-    def upper_bound(self) -> float:
-        return self.hi
 
     @property
     def strictly_positive(self) -> bool:
@@ -114,12 +116,10 @@ class Functional:
             return np.clip(self.offset + s, self.lo, self.hi)
         if self.kind == "exp_neg_pair":
             return self.lo + (self.hi - self.lo) * np.exp(-np.square(s))
-        if self.kind == "bounded_cylinder":
-            if self.smooth:
-                p = _stable_logistic(self.sharpness * (np.asarray(s, dtype=float) - self.center))
-                return self.lo + (self.hi - self.lo) * p
-            return self.lo + (self.hi - self.lo) * (np.asarray(s) >= self.center)
-        raise ValueError(f"unknown functional kind {self.kind!r}")
+        if self.smooth:  # bounded_cylinder
+            p = _stable_logistic(self.sharpness * (np.asarray(s, dtype=float) - self.center))
+            return self.lo + (self.hi - self.lo) * p
+        return self.lo + (self.hi - self.lo) * (np.asarray(s) >= self.center)
 
     def grad_norm(self, U: np.ndarray):
         """Local Lipschitz constant |grad Phi| at each field."""
@@ -129,12 +129,10 @@ class Functional:
             return np.where(inside, self.phi_l2, 0.0)
         if self.kind == "exp_neg_pair":
             return (self.hi - self.lo) * 2.0 * np.abs(s) * np.exp(-np.square(s)) * self.phi_l2
-        if self.kind == "bounded_cylinder":
-            if self.smooth:
-                p = _stable_logistic(self.sharpness * (s - self.center))
-                return (self.hi - self.lo) * self.sharpness * p * (1.0 - p) * self.phi_l2
-            return np.where(s == self.center, np.inf, 0.0)
-        raise ValueError(f"unknown functional kind {self.kind!r}")
+        if self.smooth:  # bounded_cylinder
+            p = _stable_logistic(self.sharpness * (s - self.center))
+            return (self.hi - self.lo) * self.sharpness * p * (1.0 - p) * self.phi_l2
+        return np.where(s == self.center, np.inf, 0.0)
 
     def grad_sq(self, U: np.ndarray):
         return np.square(self.grad_norm(U))

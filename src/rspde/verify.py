@@ -99,12 +99,15 @@ def reports_to_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+MAX_VIOLATION_FRACTION = 1e-3
+
+
 def _combined_se(*ses: float) -> float:
     return math.sqrt(sum(s * s for s in ses))
 
 
-def _allowance(grid: SpaceTimeGrid, *magnitudes: float) -> float:
-    scale = max(abs(m) for m in magnitudes)
+def _allowance(grid: SpaceTimeGrid, scale):
+    """Discretization allowance 5 (dt + dx^2) * scale; scale may be an array."""
     return 5.0 * (grid.dt + grid.dx ** 2) * scale
 
 
@@ -122,7 +125,7 @@ def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
     allowance_rhs defaults to rhs; margin_ratio defaults to rhs / lhs.
     """
     scale_rhs = rhs if allowance_rhs is None else allowance_rhs
-    slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, lhs, scale_rhs)
+    slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, max(abs(lhs), abs(scale_rhs)))
     return CheckReport(
         check=check,
         passed=lhs <= rhs + slack,
@@ -282,14 +285,13 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
 
 
 def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
-                           eps_big: float, eps_small: float, n_paths: int, seed: int,
-                           max_violation_fraction: float = 1e-3) -> CheckReport:
+                           eps_big: float, eps_small: float, n_paths: int, seed: int) -> CheckReport:
     """Pathwise ordering under shared noise: the harder-penalized solution
     (smaller eps) should dominate, up to discretization slack.
 
     Counts grid points over all steps, nodes, and paths where
     u_small < u_big - 5 (dt + dx^2) * (running max |u|); passes when the
-    violating fraction stays below ``max_violation_fraction``.
+    violating fraction stays below ``MAX_VIOLATION_FRACTION``.
     """
     _check_positive("eps_big", eps_big)
     _check_positive("eps_small", eps_small)
@@ -316,8 +318,7 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         u_big, u_small = big, small
         running_scale = np.maximum(running_scale, np.max(np.abs(u_big), axis=0))
         running_scale = np.maximum(running_scale, np.max(np.abs(u_small), axis=0))
-        tol = 5.0 * (grid.dt + grid.dx ** 2) * running_scale
-        gap = u_big - u_small - tol
+        gap = u_big - u_small - _allowance(grid, running_scale)
         violations += int(np.count_nonzero(gap > 0.0))
         if gap.size:
             worst = max(worst, float(np.max(gap)))
@@ -325,11 +326,11 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
     fraction = violations / total
     return CheckReport(
         check="comparison",
-        passed=fraction < max_violation_fraction,
+        passed=fraction < MAX_VIOLATION_FRACTION,
         lhs=fraction,
-        rhs=max_violation_fraction,
+        rhs=MAX_VIOLATION_FRACTION,
         std_errors={},
-        margin_ratio=_margin(fraction, max_violation_fraction),
+        margin_ratio=_margin(fraction, MAX_VIOLATION_FRACTION),
         inputs={"eps_big": eps_big, "eps_small": eps_small, "n_paths": n_paths,
                 "worst_violation": worst, "points_checked": total, "model": model.name},
         seed=seed,

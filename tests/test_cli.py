@@ -291,6 +291,51 @@ class TestCheckCommand:
         assert main(["check", name, "--config", path]) == 0
 
 
+def small_check_config(**check):
+    """15 nodes, dt 0.01, 4 paths of the sin-modulated model, reflected."""
+    return {
+        "grid": {"n_space": 15, "dt": 0.01, "t_final": 0.1},
+        "model": {"name": "sin_modulated", "params": {}},
+        "run": {"mode": "reflected", "n_paths": 4, "seed": 5},
+        "check": {"name": "comparison", "h_modes": [0.5], **check},
+    }
+
+
+FUNCTIONAL = {"kind": "clipped_affine", "direction_modes": [1.0], "offset": 0.5, "lo": 0.0, "hi": 50.0}
+
+
+def _set(block, key, value):
+    def edit(cfg):
+        cfg[block][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("argv, edit, field", [
+    (["simulate", "--paths", "0"], None, "run.n_paths"),
+    (["check", "comparison", "--paths", "0"], None, "run.n_paths"),
+    (["converge-eps", "--seed", "-1"], None, "run.seed"),
+    (["check", "variance"], None, "check.functional"),
+    (["check", "gradient"], _set("check", "t", "abc"), "check.t"),
+    (["check", "gradient"], _set("check", "t", 0.0123), "check.t"),
+    (["check", "continuity"], _set("check", "p", "x"), "check.p"),
+    (["simulate"], _set("model", "params", {"penalty": "foo"}), "model.params: penalty"),
+    (["check", "comparison"], _set("model", "params", {"penalty": "foo"}), "model.params: penalty"),
+    (["check", "variance"], _set("check", "functional", {**FUNCTIONAL, "lo": 0.5, "hi": 0.2}),
+     "check.functional"),
+    (["simulate"], _set("run", "h_modes", "ab"), "run.h_modes"),
+    (["simulate"], _set("run", "save_at", [0.0123]), "run.save_at"),
+], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
+        "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
+        "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh"])
+def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
+    cfg = small_check_config()
+    if edit is not None:
+        edit(cfg)
+    path = write_config(tmp_path, cfg)
+    assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
 class TestBoundsCommand:
     def rows(self, args):
         buf = io.StringIO()

@@ -255,6 +255,16 @@ class TestCatalogue:
         with pytest.raises(ValueError):
             model_from_config("nope", {})
 
+    @pytest.mark.parametrize("build", [
+        lambda: sin_modulated_model(penalty="foo"),
+        lambda: affine_clamped_model(penalty="negative part"),
+        lambda: constant_model(0.0, 0.5, penalty=""),
+        lambda: model_from_config("sin_modulated", {"penalty": "foo"}),
+    ], ids=["sin_modulated", "affine_clamped", "constant", "from_config"])
+    def test_unknown_penalty_rejected_at_construction(self, build):
+        with pytest.raises(ValueError, match="penalty"):
+            build()
+
     def test_penalty_shapes(self):
         u = np.linspace(-3, 3, 101)
         for f in (penalty_negative_part, penalty_arctan_square):

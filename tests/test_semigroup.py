@@ -14,6 +14,7 @@ from rspde.grid_noise import NoisePlan, l2_norm, make_grid, with_stream
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
     Directions,
+    Functional,
     FunctionalContractError,
     bootstrap_variance_positive,
     bounded_cylinder,
@@ -85,6 +86,29 @@ class TestFunctionalCatalogue:
         grid, _, _, _ = small
         with pytest.raises(ValueError):
             functional_from_config(grid, {"kind": "mystery", "direction_modes": [1.0]})
+
+    def test_unknown_kind_rejected_at_construction(self, small):
+        grid, _, e1, _ = small
+        with pytest.raises(ValueError, match="mystery"):
+            Functional("mystery", e1, grid.dx)
+
+    @pytest.mark.parametrize("build", [
+        lambda e1, dx: clipped_affine(e1, dx, lo=0.5, hi=0.2),
+        lambda e1, dx: bounded_cylinder(e1, dx, lo=1.0, hi=0.0),
+        lambda e1, dx: bounded_cylinder(e1, dx, lo=1.0, hi=0.0, smooth=False),
+    ], ids=["clipped_affine", "bounded_cylinder", "step"])
+    def test_lo_above_hi_rejected(self, small, build):
+        grid, _, e1, _ = small
+        with pytest.raises(ValueError, match="lo <= hi"):
+            build(e1, grid.dx)
+
+    def test_lo_equal_hi_is_a_constant_functional(self, small):
+        grid, _, e1, h = small
+        U = np.stack([h, 5 * h, 0 * h], axis=1)
+        for phi in (clipped_affine(e1, grid.dx, lo=0.3, hi=0.3),
+                    bounded_cylinder(e1, grid.dx, lo=0.3, hi=0.3, sharpness=4.0)):
+            assert np.all(phi.value(U) == 0.3)
+            assert np.all(phi.grad_norm(U) == 0.0)
 
 
 class TestRunEnsemble:
