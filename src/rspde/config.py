@@ -71,12 +71,14 @@ def _need(block: dict, block_name: str, key: str, types, pred=None, desc=""):
     return val
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _positive_list(block: dict, block_name: str, key: str) -> None:
     if key in block:
         vals = block[key]
-        if not isinstance(vals, list) or not vals or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in vals
-        ):
+        if not isinstance(vals, list) or not vals or not all(_is_number(v) and v > 0 for v in vals):
             raise ConfigError(f"{block_name}.{key}: must be a non-empty list of positive numbers")
 
 
@@ -90,8 +92,10 @@ def _on_mesh(grid: SpaceTimeGrid, field: str, times) -> None:
 
 def _mode_lists(block: dict, block_name: str, *keys) -> None:
     for key in keys:
-        if key in block and not isinstance(block[key], list):
-            raise ConfigError(f"{block_name}.{key}: must be a list of mode coefficients")
+        if key in block and not (
+            isinstance(block[key], list) and all(_is_number(v) for v in block[key])
+        ):
+            raise ConfigError(f"{block_name}.{key}: must be a list of numeric mode coefficients")
 
 
 def validate_config(cfg: dict) -> None:
@@ -129,9 +133,7 @@ def validate_config(cfg: dict) -> None:
     _need(r, "run", "n_paths", int, lambda v: v >= 1, "integer >= 1")
     _need(r, "run", "seed", int, lambda v: v >= 0, "integer >= 0")
     if "save_at" in r:
-        if not isinstance(r["save_at"], list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in r["save_at"]
-        ):
+        if not isinstance(r["save_at"], list) or not all(_is_number(v) for v in r["save_at"]):
             raise ConfigError("run.save_at: must be a list of times")
         _on_mesh(grid, "run.save_at", r["save_at"])
     _mode_lists(r, "run", "h_modes")

@@ -5,12 +5,14 @@ The noise source is counter-based: the Gaussian block for a given
 independent of evaluation order, batching, or thread scheduling.  The exact
 counter-to-Gaussian mapping (Philox4x64-10 + Box-Muller) is frozen in
 docs/noise.md so that other implementations can reproduce the streams
-bit for bit.
+bit for bit.  The raw words come from numpy's compiled Philox, one
+generator per thread whose whole state is set for each (seed, stream, step).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,64 +142,44 @@ def with_stream(plan: NoisePlan, stream_id: int) -> NoisePlan:
     return replace(plan, stream_id=stream_id)
 
 
-# Philox4x64-10 round constants (Random123; same core as numpy.random.Philox).
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_MASK32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_U64 = np.uint64
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53
+_PER_THREAD = threading.local()  # one Philox and one state dict per thread
 
 
-def _mulhilo(a, b):
-    """128-bit product of uint64 arrays, as (high word, low word)."""
-    lo = a * b
-    ah = a >> _S32
-    al = a & _MASK32
-    bh = b >> _S32
-    bl = b & _MASK32
-    mid = ((al * bl) >> _S32) + ((al * bh) & _MASK32) + ((ah * bl) & _MASK32)
-    hi = ah * bh + ((al * bh) >> _S32) + ((ah * bl) >> _S32) + (mid >> _S32)
-    return hi, lo
-
-
-def _philox_raw(master_seed: int, stream_ids: np.ndarray, step: int, n_raw: int) -> np.ndarray:
+def _philox_raw(master_seed: int, stream_ids, step: int, n_raw: int) -> np.ndarray:
     """Raw uint64 stream per (seed, stream, step), shape (n_raw, n_streams).
 
-    Column s reproduces numpy.random.Philox(counter=step << 128,
-    key=[master_seed, stream_ids[s]]).random_raw(n_raw) exactly: block j of
-    four words is Philox4x64-10 applied to counter words [j+1, 0, step, 0]
-    (numpy pre-increments the counter) with key words [seed, stream].
+    Column s is numpy.random.Philox(counter=step << 128,
+    key=[master_seed, stream_ids[s]]).random_raw(n_raw): the calling thread's
+    compiled Philox4x64-10 gets its whole state (counter, key, buffer) set
+    before each stream, so nothing carries over between streams or calls.
     """
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    n_streams = len(stream_ids)
-    n_blocks = -(-n_raw // 4)
-    c0 = np.repeat(np.arange(1, n_blocks + 1, dtype=np.uint64), n_streams)
-    zero = np.zeros(n_blocks * n_streams, dtype=np.uint64)
-    c1 = zero
-    c2 = np.full(n_blocks * n_streams, _U64(step % (1 << 64)))
-    c3 = zero
-    k0 = np.full(n_blocks * n_streams, _U64(master_seed % (1 << 64)))
-    k1 = np.tile(np.asarray(stream_ids, dtype=np.uint64), n_blocks)
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0 = hi1 ^ c1 ^ k0
-            c1 = lo1
-            c2 = hi0 ^ c3 ^ k1
-            c3 = lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    # (4, n_blocks, S) -> word order 4*j + q per stream column
-    out = np.stack((c0, c1, c2, c3)).reshape(4, n_blocks, n_streams)
-    return out.transpose(1, 0, 2).reshape(4 * n_blocks, n_streams)[:n_raw]
+    if not hasattr(_PER_THREAD, "gen"):
+        _PER_THREAD.gen = np.random.Philox(0)
+        _PER_THREAD.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty buffer: the first block is at counter [1, 0, step, 0]
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    gen, state = _PER_THREAD.gen, _PER_THREAD.state
+    state["state"]["counter"][2] = step % (1 << 64)
+    key = state["state"]["key"]
+    key[0] = master_seed % (1 << 64)
+    streams = np.asarray(stream_ids, dtype=np.uint64).tolist()
+    out = np.empty((len(streams), n_raw), dtype=np.uint64)
+    for row, stream in enumerate(streams):
+        key[1] = stream
+        gen.state = state
+        out[row] = gen.random_raw(n_raw)
+    return out.T
 
 
-def _gaussian_block(master_seed: int, stream_ids: np.ndarray, step: int, n: int) -> np.ndarray:
+def _gaussian_block(master_seed: int, stream_ids, step: int, n: int) -> np.ndarray:
     """Standard normals from the raw stream via Box-Muller, shape (n, n_streams).
 
     Pair 2i, 2i+1 of raws maps to u1 = (r0 >> 11)*2^-53, u2 = (r1 >> 11)*2^-53,
@@ -234,7 +216,5 @@ def increments_matrix(plan: NoisePlan, grid: SpaceTimeGrid, step: int, stream_id
     """
     if step >= grid.n_steps:
         raise ValueError(f"step {step} out of range (n_steps={grid.n_steps})")
-    z = _gaussian_block(
-        plan.master_seed, np.asarray(stream_ids), plan.counter + step, grid.n_space
-    )
+    z = _gaussian_block(plan.master_seed, stream_ids, plan.counter + step, grid.n_space)
     return z * math.sqrt(grid.dt * grid.dx)

@@ -131,7 +131,7 @@ class Functional:
             return (self.hi - self.lo) * 2.0 * np.abs(s) * np.exp(-np.square(s)) * self.phi_l2
         if self.smooth:  # bounded_cylinder
             p = _stable_logistic(self.sharpness * (s - self.center))
-            return (self.hi - self.lo) * self.sharpness * p * (1.0 - p) * self.phi_l2
+            return (self.hi - self.lo) * abs(self.sharpness) * p * (1.0 - p) * self.phi_l2
         return np.where(s == self.center, np.inf, 0.0)
 
     def grad_sq(self, U: np.ndarray):

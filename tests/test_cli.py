@@ -324,9 +324,14 @@ def _set(block, key, value):
      "check.functional"),
     (["simulate"], _set("run", "h_modes", "ab"), "run.h_modes"),
     (["simulate"], _set("run", "save_at", [0.0123]), "run.save_at"),
+    (["simulate"], _set("run", "h_modes", ["a"]), "run.h_modes"),
+    (["check", "comparison"], _set("check", "h_modes", ["a"]), "check.h_modes"),
+    (["check", "continuity"], _set("check", "h1_modes", [0.5, "a"]), "check.h1_modes"),
+    (["check", "continuity"], _set("check", "h2_modes", [True]), "check.h2_modes"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
-        "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh"])
+        "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
+        "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:

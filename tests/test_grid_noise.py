@@ -1,10 +1,14 @@
 """Grid construction and the reproducible noise source."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rspde.grid_noise as grid_noise
 from rspde.grid_noise import (
     NoisePlan,
     increments_matrix,
@@ -17,6 +21,62 @@ from rspde.grid_noise import (
     with_stream,
     _philox_raw,
 )
+
+
+# Reference Philox4x64-10 in vectorised numpy: the round recap of
+# docs/noise.md, kept to check the compiled generator the noise layer uses.
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(a, b):
+    """128-bit product of uint64 arrays, as (high word, low word)."""
+    lo = a * b
+    ah = a >> _S32
+    al = a & _MASK32
+    bh = b >> _S32
+    bl = b & _MASK32
+    mid = ((al * bl) >> _S32) + ((al * bh) & _MASK32) + ((ah * bl) & _MASK32)
+    hi = ah * bh + ((al * bh) >> _S32) + ((ah * bl) >> _S32) + (mid >> _S32)
+    return hi, lo
+
+
+def philox_reference(master_seed, stream_ids, step, n_raw):
+    """Raw words per (seed, stream, step), shape (n_raw, n_streams).
+
+    Block j of four words is Philox4x64-10 applied to counter words
+    [j+1, 0, step, 0] with key words [seed, stream].
+    """
+    n_streams = len(stream_ids)
+    n_blocks = -(-n_raw // 4)
+    c0 = np.repeat(np.arange(1, n_blocks + 1, dtype=np.uint64), n_streams)
+    c1 = c3 = np.zeros(n_blocks * n_streams, dtype=np.uint64)
+    c2 = np.full(n_blocks * n_streams, np.uint64(step % (1 << 64)))
+    k0 = np.full(n_blocks * n_streams, np.uint64(master_seed % (1 << 64)))
+    k1 = np.tile(np.asarray(stream_ids, dtype=np.uint64), n_blocks)
+    with np.errstate(over="ignore"):
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 = k0 + _W0
+            k1 = k1 + _W1
+    # (4, n_blocks, S) -> word order 4*j + q per stream column
+    out = np.stack((c0, c1, c2, c3)).reshape(4, n_blocks, n_streams)
+    return out.transpose(1, 0, 2).reshape(4 * n_blocks, n_streams)[:n_raw]
+
+
+NOISE_SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
+NOISE_STEPS = [0, 1, 2**40]  # a counter offset is in test_increments_from_reference_words
+NOISE_STREAM_SETS = {
+    1: [[0], [7], [2**64 - 1]],
+    3: [[0, 7, 2**64 - 1]],
+    256: [[0, 7, 2**64 - 1, *range(1000, 1253)]],
+}
 
 
 class TestMakeGrid:
@@ -88,19 +148,40 @@ class TestNoiseDeterminism:
         assert np.array_equal(a, b)
 
     def test_philox_matches_numpy_oracle(self):
-        # the documented contract: our raw stream equals numpy's Philox
-        for seed, stream, step, n in [(42, 7, 3, 64), (0, 0, 0, 8), (2**63, 17, 1000, 12)]:
-            mine = _philox_raw(seed, np.array([stream]), step, n)[:, 0]
-            ref = np.random.Philox(counter=step << 128, key=seed + (stream << 64)).random_raw(n)
-            assert np.array_equal(mine, ref)
+        # the documented contract: the raw stream equals numpy's Philox built
+        # from (counter, key) and the round recap of docs/noise.md
+        for seed in NOISE_SEEDS:
+            for step in NOISE_STEPS:
+                for streams in [s for sets in NOISE_STREAM_SETS.values() for s in sets]:
+                    for n in (63, 64):
+                        mine = _philox_raw(seed, np.array(streams, dtype=np.uint64), step, n)
+                        assert mine.shape == (n, len(streams))
+                        assert np.array_equal(mine, philox_reference(seed, streams, step, n))
+                        for col in (0, len(streams) // 2, len(streams) - 1):
+                            oracle = np.random.Philox(
+                                counter=step << 128, key=seed + (streams[col] << 64)
+                            ).random_raw(n)
+                            assert np.array_equal(mine[:, col], oracle)
+
+    @pytest.mark.parametrize("width", sorted(NOISE_STREAM_SETS))
+    def test_increments_from_reference_words(self, monkeypatch, width):
+        # Box-Muller and the counter offset give the same bits whether the
+        # words come from the compiled generator or from the reference
+        grid = make_grid(63, 1e-3, 0.1)
+        plan = NoisePlan(2**63 + 5, counter=2**40)
+        streams = NOISE_STREAM_SETS[width][-1]
+        fast = increments_matrix(plan, grid, 3, streams)
+        monkeypatch.setattr(grid_noise, "_philox_raw", philox_reference)
+        assert fast.tobytes() == increments_matrix(plan, grid, 3, streams).tobytes()
 
     def test_batched_equals_single(self):
         grid = make_grid(63, 1e-3, 0.1)
         plan = NoisePlan(11, 0)
-        mat = increments_matrix(plan, grid, 5, [3, 10, 200])
-        for col, stream in enumerate([3, 10, 200]):
-            single = sample_increments(with_stream(plan, stream), grid, 5)
-            assert np.array_equal(mat[:, col], single)
+        for streams in ([3, 10, 200], [0, 7, 2**64 - 1]):
+            mat = increments_matrix(plan, grid, 5, streams)
+            for col, stream in enumerate(streams):
+                single = sample_increments(with_stream(plan, stream), grid, 5)
+                assert np.array_equal(mat[:, col], single)
 
     @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**32),
            step=st.integers(0, 10_000))
@@ -137,6 +218,60 @@ class TestNoiseDeterminism:
             float.fromhex("-0x1.eaba86f6da880p-9"),
         ]
         assert v[:4].tolist() == golden
+
+
+class TestNoiseThreads:
+    TRIPLES = [(seed, stream, step) for seed in (3, 2**64 - 1) for stream in (0, 5, 2**64 - 1)
+               for step in (0, 2, 7)]
+
+    def test_concurrent_calls_equal_serial(self):
+        # four threads walk the triples from different starting points, so
+        # calls for different (seed, stream, step) interleave on every thread
+        grid = make_grid(63, 1e-3, 0.01)
+
+        def call(triple):
+            seed, stream, step = triple
+            return increments_matrix(NoisePlan(seed), grid, step, [stream, stream ^ 1, 9])
+
+        serial = {t: call(t) for t in self.TRIPLES}
+        results, errors = [], []
+
+        def worker(order):
+            try:
+                for _ in range(20):
+                    for t in order:
+                        results.append((t, call(t)))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        orders = [self.TRIPLES[k:] + self.TRIPLES[:k] for k in (0, 5, 9, 13)]
+        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert len(results) == 20 * 4 * len(self.TRIPLES)
+        for t, got in results:
+            assert got.tobytes() == serial[t].tobytes()
+
+    def test_call_after_other_seed_equals_fresh_thread(self):
+        grid = make_grid(15, 1e-2, 0.1)
+        plan = NoisePlan(11, 4)
+        sample_increments(NoisePlan(12, 9, counter=3), grid, 5)
+        after = sample_increments(plan, grid, 2)
+        fresh = []
+        th = threading.Thread(target=lambda: fresh.append(sample_increments(plan, grid, 2)))
+        th.start()
+        th.join(timeout=60)
+        assert not th.is_alive()
+        assert after.tobytes() == fresh[0].tobytes()
 
 
 class TestCoupling:

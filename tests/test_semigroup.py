@@ -74,6 +74,15 @@ class TestFunctionalCatalogue:
         assert float(step.value(h)) in (0.0, 1.0)
         assert np.isinf(step.grad_norm(h)) or step.grad_norm(h) == 0.0
 
+    def test_cylinder_negative_sharpness_grad_norm_nonnegative(self, small):
+        # p(1-p) is even in the logistic's argument, so only |sharpness| enters
+        grid, _, e1, h = small
+        U = np.stack([h, 5 * h, -h], axis=1)
+        flipped = bounded_cylinder(e1, grid.dx, sharpness=-2.0).grad_norm(U)
+        assert np.all(flipped >= 0.0)
+        assert flipped == pytest.approx(bounded_cylinder(e1, grid.dx, sharpness=2.0).grad_norm(U),
+                                        rel=1e-12)
+
     def test_from_config(self, small):
         grid, _, e1, h = small
         phi = functional_from_config(grid, {
