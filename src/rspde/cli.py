@@ -9,7 +9,6 @@ produce identical numeric content regardless of RSPDE_THREADS.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import os
@@ -18,7 +17,7 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .coefficients import BoundProfile
+from .coefficients import BoundProfile, harnack_rhs
 from .config import ConfigError
 from .grid_noise import NoisePlan, with_stream
 from .semigroup import functional_from_config
@@ -36,18 +35,25 @@ from .verify import (
 __all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds"]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _write_rows(fh, header, rows):
+    """A header line, then one line of %.17g fields per row of floats.
+
+    Fields are joined by "," and every line ends in "\r\n", unquoted: the
+    bytes csv.writer writes, since no header name or %.17g field holds a
+    comma, a quote or a line break.  Rows are written as they come, so an
+    error in a lazy ``rows`` leaves the lines before it written.
+    """
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
+    fh.write(",".join(header) + "\r\n")
+    fh.writelines(line % tuple(row) for row in rows)
 
 
 def _write_csv(path, columns: dict, cfg_hash, seed, stream):
     """Provenance comment line, then a header of the column names and one
-    row of %.17g values per entry of the (equal-length) column arrays."""
+    row per entry of the (equal-length) column arrays."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={cfg_hash} seed={seed} stream={stream}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(map(_fmt, row) for row in np.column_stack(list(columns.values())).tolist())
+        _write_rows(fh, list(columns), np.column_stack(list(columns.values())).tolist())
 
 
 def _write_json(path, blob):
@@ -164,16 +170,10 @@ def cmd_check(name: str, cfg: dict, out_dir: str | None, m_scale: float, cfg_has
 
 def cmd_bounds(L_b: float, L_sigma: float, kappa1: float, t_list, out=None) -> int:
     profile = BoundProfile(L_b, L_sigma)
-    writer = csv.writer(out if out is not None else sys.stdout)
-    writer.writerow(["t", "M", "zeta", "int_exp_neg_zeta", "harnack_rhs_unit_dist2"])
-    for t in t_list:
-        writer.writerow([
-            _fmt(t),
-            _fmt(profile.M),
-            _fmt(profile.zeta(t)),
-            _fmt(profile.int_exp_neg_zeta(t)),
-            _fmt(profile.harnack_rhs(t, 1.0, kappa1)),
-        ])
+    _write_rows(out if out is not None else sys.stdout,
+                ["t", "M", "zeta", "int_exp_neg_zeta", "harnack_rhs_unit_dist2"],
+                ((t, profile.M, profile.zeta(t), profile.int_exp_neg_zeta(t),
+                  harnack_rhs(t, 1.0, profile, kappa1)) for t in t_list))
     return 0
 
 

@@ -368,9 +368,6 @@ class BoundProfile:
             self._cache[key] = adaptive_simpson(lambda s: math.exp(self.zeta(s)), 0.0, t)
         return self._cache[key]
 
-    def harnack_rhs(self, t: float, dist2: float, kappa1: float) -> float:
-        return harnack_rhs(t, dist2, self, kappa1)
-
 
 def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) -> float:
     """Additive term M * dist2 / (kappa1^2 * integral_0^t exp(-zeta))."""

@@ -187,8 +187,8 @@ def _gaussian_block(master_seed: int, stream_ids, step: int, n: int) -> np.ndarr
     """
     n_pairs = -(-n // 2)
     raw = _philox_raw(master_seed, stream_ids, step, 2 * n_pairs)
-    u1 = (raw[0::2] >> np.uint64(11)).astype(np.float64) * _TWO53_INV
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    u = (raw >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    u1, u2 = u[0::2], u[1::2]
     r = np.sqrt(-2.0 * np.log1p(-u1))
     theta = (2.0 * np.pi) * u2
     z = np.empty((2 * n_pairs, raw.shape[1]))

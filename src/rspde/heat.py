@@ -91,8 +91,16 @@ class ImplicitHeatSolver:
 
     D2 is the 3-point Dirichlet Laplacian; the matrix is strictly diagonally
     dominant, so the Thomas sweep needs no pivoting.  ``solve`` accepts shape
-    (n_space,) or (n_space, m); each column is processed by the identical
-    scalar recurrence, so results do not depend on the batch width.
+    (n_space,) or (n_space, m) and returns float64 (integer input is cast
+    first); each column is processed by the identical scalar recurrence, so
+    results do not depend on the batch width.
+
+    A 1-D field runs the recurrence over Python floats, with ``beta`` and
+    ``gamma`` held as lists: a numpy sweep pays per-element call overhead
+    that a single column cannot spread.  Python floats are IEEE doubles, and
+    each step is the same division, multiplication and addition of the same
+    operands in the same order as the 2-D numpy sweep, so a column comes
+    out bit for bit as that sweep gives it, NaN signs included.
     """
 
     def __init__(self, n_space: int, dx: float, dt: float):
@@ -107,8 +115,13 @@ class ImplicitHeatSolver:
         self.r = r
         self._beta = beta
         self._gamma = gamma
+        self._beta_list = beta.tolist()
+        self._gamma_list = gamma.tolist()
 
     def solve(self, w: np.ndarray) -> np.ndarray:
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim == 1:
+            return self._solve_column(w)
         n, r, beta, gamma = self.n_space, self.r, self._beta, self._gamma
         y = np.empty_like(w)
         y[0] = w[0] / beta[0]
@@ -119,6 +132,17 @@ class ImplicitHeatSolver:
         for i in range(n - 2, -1, -1):
             v[i] = y[i] - gamma[i] * v[i + 1]
         return v
+
+    def _solve_column(self, w: np.ndarray) -> np.ndarray:
+        """The same sweep as ``solve`` on one column, over Python floats."""
+        r, beta, gamma = float(self.r), self._beta_list, self._gamma_list
+        y = w.tolist()  # a fresh list: y, then v, overwrite w's entries in place
+        prev = y[0] = y[0] / beta[0]
+        for i in range(1, self.n_space):
+            prev = y[i] = (y[i] + r * prev) / beta[i]
+        for i in range(self.n_space - 2, -1, -1):
+            prev = y[i] = y[i] - gamma[i] * prev
+        return np.array(y)
 
 
 @lru_cache(maxsize=32)

@@ -46,7 +46,6 @@ __all__ = [
     "check_eps_monotonicity",
     "check_eps_convergence",
     "gronwall_bound",
-    "reports_to_csv",
 ]
 
 
@@ -86,17 +85,6 @@ class CheckReport:
             f"{self.check}: {self.verdict}  lhs={self.lhs:.6g}  rhs={self.rhs:.6g}  "
             f"margin_ratio={self.margin_ratio:.3g}"
         )
-
-
-def reports_to_csv(reports) -> str:
-    """Summary table for a parameter sweep, one row per check report."""
-    lines = ["check,verdict,lhs,rhs,margin_ratio,seed,config_hash"]
-    for r in reports:
-        lines.append(
-            f"{r.check},{r.verdict},{r.lhs:.17g},{r.rhs:.17g},"
-            f"{r.margin_ratio:.17g},{r.seed},{r.config_hash}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 MAX_VIOLATION_FRACTION = 1e-3

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rspde.cli import cmd_bounds, main
+from rspde.cli import _write_csv, cmd_bounds, main
 from rspde.config import (
     ConfigError,
     build_grid,
@@ -339,6 +339,71 @@ def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     path = write_config(tmp_path, cfg)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+def csv_writer_bytes(header, rows, first_line=""):
+    """The reference bytes: csv.writer on %.17g strings."""
+    buf = io.StringIO(newline="")
+    buf.write(first_line)
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -2.5, 0.1, 1e16, 123456789012345678.0, 1e308, -1e-300,
+                  5e-324, -5e-324, math.inf, -math.inf, math.nan, 1 / 3]
+
+
+class TestCsvBytes:
+    """Every CSV the CLI writes is what csv.writer would write: unquoted
+    %.17g fields, "," separators and "\\r\\n" line ends."""
+
+    def test_write_csv_matches_csv_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([SPECIAL_FLOATS, rng.normal(size=40) * 10.0 ** rng.integers(-20, 20, 40)])
+        columns = {"t": values, "x": values / 2.0, "u": -values}
+        path = tmp_path / "t.csv"
+        _write_csv(path, columns, "abc", 3, 5)
+        data = path.read_bytes()
+        assert data == csv_writer_bytes(list(columns), np.column_stack([values, values / 2.0, -values]).tolist(),
+                                        "# config_hash=abc seed=3 stream=5\n")
+        lines = data.split(b"\r\n")
+        assert lines[0] == b"# config_hash=abc seed=3 stream=5\nt,x,u"
+        assert lines[2] == b"-0,-0,0" and lines[-1] == b""
+        assert b'"' not in data and data.count(b"\r\n") == len(values) + 1
+
+    def test_simulate_trajectory_and_ledger_bytes(self, tmp_path):
+        cfg = base_config()
+        cfg["model"] = {"name": "sin_modulated", "params": {}}
+        cfg["run"]["save_at"] = [0.0, 0.025, 0.05]
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+        for name, header in (("trajectory_000.csv", ["t", "x", "u"]), ("ledger_000.csv", ["x", "mass"])):
+            data = (out / name).read_bytes()
+            first, rest = data.split(b"\n", 1)
+            rows = [[float(f) for f in ln.split(b",")] for ln in rest.split(b"\r\n")[1:-1]]
+            assert len(rows) == (93 if name.startswith("traj") else 31)
+            assert data == csv_writer_bytes(header, rows, first.decode() + "\n")
+        ledger_rows = rest.split(b"\r\n")[1:-1]
+        assert any(ln.endswith(b",0") for ln in ledger_rows)  # nodes the constraint never touched
+
+    def test_bounds_matches_csv_writer(self):
+        buf = io.StringIO(newline="")
+        ts = [0.05, 0.25, 1.0, 2.0]
+        assert cmd_bounds(1.0, 0.5, 1.1, ts, out=buf) == 0
+        header = ["t", "M", "zeta", "int_exp_neg_zeta", "harnack_rhs_unit_dist2"]
+        rows = [[float(f) for f in ln.split(",")] for ln in buf.getvalue().split("\r\n")[1:-1]]
+        assert [r[0] for r in rows] == ts
+        assert buf.getvalue().encode() == csv_writer_bytes(header, rows)
+
+    def test_bounds_error_keeps_earlier_rows(self, capsys):
+        assert main(["bounds", "--L-b", "1", "--L-sigma", "0.5", "--kappa1", "1",
+                     "--t", "0.1", "0", "0.2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\r\n") == 2 and captured.out.split("\r\n")[1].startswith("0.10000000000000001,")
+        assert "t must be > 0" in captured.err
 
 
 class TestBoundsCommand:

@@ -137,9 +137,33 @@ class TestImplicitStep:
             assert l2_norm(v, dx) <= l2_norm(w, dx) * (1 + 1e-12)
 
     def test_batched_columns_match_single(self):
+        # a 1-D field takes the Python-float sweep, a 2-D one the numpy sweep;
+        # they must agree bit for bit, non-finite, huge and subnormal entries
+        # (and the NaN signs they produce) included
         rng = np.random.default_rng(5)
-        W = rng.normal(size=(63, 8))
-        solver = ImplicitHeatSolver(63, 1 / 64, 1e-3)
-        batched = solver.solve(W)
-        for j in range(8):
-            assert np.array_equal(batched[:, j], solver.solve(W[:, j].copy()))
+        specials = [math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308,
+                    5e-324, -5e-324, 2.2e-308, -0.0]
+        for n_space in (3, 7, 63):
+            W = rng.normal(size=(n_space, 64)) * 10.0 ** rng.integers(-300, 300, size=64)
+            for j in range(8, 64):
+                rows = rng.integers(0, n_space, size=1 + j % 3)
+                W[rows, j] = rng.choice(specials, size=rows.size)
+            solver = ImplicitHeatSolver(n_space, 1.0 / (n_space + 1), 1e-3)
+            with np.errstate(all="ignore"):
+                batched = solver.solve(W)
+                for j in range(W.shape[1]):
+                    column = W[:, j].copy()
+                    single = solver.solve(column)
+                    assert single.dtype == np.float64 and single.shape == (n_space,)
+                    assert single.tobytes() == batched[:, j].tobytes(), (n_space, j)
+                    assert column.tobytes() == W[:, j].tobytes()  # input not mutated
+            assert np.isnan(batched[:, 8:]).any() and np.isinf(batched[:, 8:]).any()
+
+    @pytest.mark.parametrize("shape", [(7,), (7, 3)])
+    def test_integer_input_is_not_truncated(self, shape):
+        spike = np.zeros(shape, dtype=np.int64)
+        spike[3] = 1
+        out = implicit_step(spike, 1 / 8, 0.1)
+        assert out.dtype == np.float64 and out.shape == shape
+        assert out.tobytes() == implicit_step(spike.astype(np.float64), 1 / 8, 0.1).tobytes()
+        assert np.all(out > 0.0)

@@ -312,23 +312,6 @@ class TestEpsExperiments:
             assert (exc.value.step, exc.value.stream) == (0, 0)
 
 
-class TestReportCsv:
-    def test_sweep_summary_table(self, lab):
-        from rspde.verify import reports_to_csv
-
-        grid, model, e1, h, dirs = lab
-        phi = clipped_affine(e1, grid.dx, offset=0.4, lo=0.4, hi=0.4)
-        reports = [
-            check_variance_bound(phi, h, t, "reflected", model, grid, 16, seed=17)
-            for t in (grid.dt, 2 * grid.dt)
-        ]
-        text = reports_to_csv(reports)
-        lines = text.strip().splitlines()
-        assert lines[0] == "check,verdict,lhs,rhs,margin_ratio,seed,config_hash"
-        assert len(lines) == 3
-        assert all(ln.startswith("variance,PASS") for ln in lines[1:])
-
-
 class TestGronwall:
     def test_constant_coefficients_closed_form(self):
         val = gronwall_bound(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, 1.0)
