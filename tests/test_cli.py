@@ -380,14 +380,15 @@ class TestCsvBytes:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-        for name, header in (("trajectory_000.csv", ["t", "x", "u"]), ("ledger_000.csv", ["x", "mass"])):
+        for name, header, n_rows in (("trajectory_000.csv", ["t", "x", "u"], 93),
+                                     ("ledger_000.csv", ["x", "mass"], 31)):
             data = (out / name).read_bytes()
             first, rest = data.split(b"\n", 1)
-            rows = [[float(f) for f in ln.split(b",")] for ln in rest.split(b"\r\n")[1:-1]]
-            assert len(rows) == (93 if name.startswith("traj") else 31)
+            lines = rest.split(b"\r\n")[1:-1]
+            rows = [[float(f) for f in ln.split(b",")] for ln in lines]
+            assert len(rows) == n_rows
             assert data == csv_writer_bytes(header, rows, first.decode() + "\n")
-        ledger_rows = rest.split(b"\r\n")[1:-1]
-        assert any(ln.endswith(b",0") for ln in ledger_rows)  # nodes the constraint never touched
+        assert any(ln.endswith(b",0") for ln in lines)  # ledger nodes the constraint never touched
 
     def test_bounds_matches_csv_writer(self):
         buf = io.StringIO(newline="")
