@@ -108,6 +108,28 @@ class CoefficientModel:
         return _PENALTIES[self.penalty_kind][1](u)
 
 
+# The catalogue's b and sigma compute in one output array, applying the
+# operations of the closed form in the docstring in that order, so each
+# entry comes out bit for bit as the closed form gives it.  The input is
+# only read.
+
+def _clipped_affine(u, slope, shift, lo, hi):
+    """clip(slope * u + shift, lo, hi)."""
+    out = np.asarray(np.multiply(slope, u))
+    np.add(out, shift, out=out)
+    return np.clip(out, lo, hi, out=out)
+
+
+def _sine(u, amp, freq, base=None):
+    """amp * sin(freq * u), and base + that when ``base`` is given."""
+    out = np.asarray(np.multiply(freq, u))
+    np.sin(out, out=out)
+    np.multiply(amp, out, out=out)
+    if base is not None:
+        np.add(base, out, out=out)
+    return out
+
+
 def constant_model(b0: float = 0.0, s0: float = 0.0, *, penalty: str = "negative_part",
                    kappa1: float | None = None, kappa2: float | None = None) -> CoefficientModel:
     """b and sigma constant.  L_sigma = 0, so the bound formulas reject it."""
@@ -138,8 +160,8 @@ def affine_clamped_model(b_slope: float = 0.5, b_shift: float = 0.0, b_clip: flo
         raise ValueError("need 0 < s_lo < s_hi")
     return CoefficientModel(
         name="affine_clamped",
-        b=lambda u: np.clip(b_slope * u + b_shift, -b_clip, b_clip),
-        sigma=lambda u: np.clip(s_slope * u + s_shift, s_lo, s_hi),
+        b=lambda u: _clipped_affine(u, b_slope, b_shift, -b_clip, b_clip),
+        sigma=lambda u: _clipped_affine(u, s_slope, s_shift, s_lo, s_hi),
         L_b=abs(b_slope),
         L_sigma=abs(s_slope),
         kappa1=s_lo,
@@ -157,8 +179,8 @@ def sin_modulated_model(b_amp: float = 1.0, b_freq: float = 1.0,
         raise ValueError("need |s_amp| < s_base for a positive diffusion window")
     return CoefficientModel(
         name="sin_modulated",
-        b=lambda u: b_amp * np.sin(b_freq * u),
-        sigma=lambda u: s_base + s_amp * np.sin(s_freq * u),
+        b=lambda u: _sine(u, b_amp, b_freq),
+        sigma=lambda u: _sine(u, s_amp, s_freq, s_base),
         L_b=abs(b_amp * b_freq),
         L_sigma=abs(s_amp * s_freq),
         kappa1=s_base - abs(s_amp),

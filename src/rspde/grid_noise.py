@@ -6,11 +6,13 @@ independent of evaluation order, batching, or thread scheduling.  The exact
 counter-to-Gaussian mapping (Philox4x64-10 + Box-Muller) is frozen in
 docs/noise.md so that other implementations can reproduce the streams
 bit for bit.  The raw words come from numpy's compiled Philox, one
-generator per thread whose whole state is set for each (seed, stream, step).
+generator per thread whose counter, key and buffer position are written
+into its C state for each (seed, stream, step).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -143,58 +145,91 @@ def with_stream(plan: NoisePlan, stream_id: int) -> NoisePlan:
 
 
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53
-_PER_THREAD = threading.local()  # one Philox and one state dict per thread
+_PER_THREAD = threading.local()  # one Philox and views of its C state per thread
+
+
+class _PhiloxState(ctypes.Structure):
+    """Head of numpy's C ``philox_state``: the counter and key pointers and ``buffer_pos``.
+
+    numpy/random/src/philox/philox.h declares
+    ``struct { philox4x64_ctr_t *ctr; philox4x64_key_t *key; int buffer_pos; ... }``
+    with four and two 64-bit words behind the pointers.
+    """
+
+    _fields_ = [("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
+                ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
+                ("buffer_pos", ctypes.c_int)]
+
+
+def _thread_philox():
+    """The calling thread's Philox, its C state, and its counter and key words.
+
+    The tuple holds the generator, which keeps the memory behind the views
+    alive; numpy sets the counter and key pointers once, at construction.
+    """
+    if not hasattr(_PER_THREAD, "philox"):
+        gen = np.random.Philox(counter=[1, 2, 3, 4], key=[5, 6])
+        state = _PhiloxState.from_address(gen.ctypes.state_address)
+        ctr, key = state.ctr.contents, state.key.contents
+        if (list(ctr), list(key), state.buffer_pos) != ([1, 2, 3, 4], [5, 6], 4):
+            raise RuntimeError(f"numpy {np.__version__}: Philox C state layout differs "
+                               "from the one docs/noise.md describes")
+        _PER_THREAD.philox = (gen, state, ctr, key)
+    return _PER_THREAD.philox
 
 
 def _philox_raw(master_seed: int, stream_ids, step: int, n_raw: int) -> np.ndarray:
     """Raw uint64 stream per (seed, stream, step), shape (n_raw, n_streams).
 
     Column s is numpy.random.Philox(counter=step << 128,
-    key=[master_seed, stream_ids[s]]).random_raw(n_raw): the calling thread's
-    compiled Philox4x64-10 gets its whole state (counter, key, buffer) set
-    before each stream, so nothing carries over between streams or calls.
+    key=[master_seed, stream_ids[s]]).random_raw(n_raw): before each stream
+    the calling thread's compiled Philox4x64-10 gets counter [0, 0, step, 0],
+    key [master_seed, stream] and an empty buffer written into its C state,
+    so nothing carries over between streams or calls.
     """
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    if not hasattr(_PER_THREAD, "gen"):
-        _PER_THREAD.gen = np.random.Philox(0)
-        _PER_THREAD.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty buffer: the first block is at counter [1, 0, step, 0]
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-    gen, state = _PER_THREAD.gen, _PER_THREAD.state
-    state["state"]["counter"][2] = step % (1 << 64)
-    key = state["state"]["key"]
+    gen, state, ctr, key = _thread_philox()
+    ctr[:] = (0, 0, step % (1 << 64), 0)
     key[0] = master_seed % (1 << 64)
+    random_raw = gen.random_raw
     streams = np.asarray(stream_ids, dtype=np.uint64).tolist()
     out = np.empty((len(streams), n_raw), dtype=np.uint64)
     for row, stream in enumerate(streams):
+        ctr[0] = 0  # random_raw advances only this word: ceil(n_raw / 4) blocks cannot wrap it
         key[1] = stream
-        gen.state = state
-        out[row] = gen.random_raw(n_raw)
+        state.buffer_pos = 4  # empty buffer: the first block is at counter [1, 0, step, 0]
+        out[row] = random_raw(n_raw)
     return out.T
 
 
-def _gaussian_block(master_seed: int, stream_ids, step: int, n: int) -> np.ndarray:
-    """Standard normals from the raw stream via Box-Muller, shape (n, n_streams).
+def _gaussian_block(master_seed: int, stream_ids, step: int, n: int, scale: float) -> np.ndarray:
+    """Box-Muller normals from the raw stream times ``scale``, shape (n, n_streams).
 
     Pair 2i, 2i+1 of raws maps to u1 = (r0 >> 11)*2^-53, u2 = (r1 >> 11)*2^-53,
-    then z0 = sqrt(-2 log(1-u1)) cos(2 pi u2), z1 = the sin twin.
+    then z0 = sqrt(-2 log(1-u1)) cos(2 pi u2), z1 = the sin twin.  The
+    uniforms, radii and angles are computed in place in the raw block, and
+    the scaled normals are written into the returned array; each value gets
+    the same operations in the same order as the formulas above.
     """
     n_pairs = -(-n // 2)
     raw = _philox_raw(master_seed, stream_ids, step, 2 * n_pairs)
-    u = (raw >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    raw >>= np.uint64(11)
+    u = raw.view(np.float64)
+    np.multiply(raw, _TWO53_INV, out=u)
     u1, u2 = u[0::2], u[1::2]
-    r = np.sqrt(-2.0 * np.log1p(-u1))
-    theta = (2.0 * np.pi) * u2
-    z = np.empty((2 * n_pairs, raw.shape[1]))
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:n]
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    np.multiply(-2.0, u1, out=u1)
+    r = np.sqrt(u1, out=u1)
+    theta = np.multiply(2.0 * np.pi, u2, out=u2)
+    z = np.empty((n, raw.shape[1]))
+    z0, z1 = z[0::2], z[1::2]
+    np.multiply(r, np.cos(theta, out=z0), out=z0)
+    n_sin = z1.shape[0]
+    np.multiply(r[:n_sin], np.sin(theta[:n_sin], out=z1), out=z1)
+    z *= scale
+    return z
 
 
 def sample_increments(plan: NoisePlan, grid: SpaceTimeGrid, step: int) -> np.ndarray:
@@ -216,5 +251,5 @@ def increments_matrix(plan: NoisePlan, grid: SpaceTimeGrid, step: int, stream_id
     """
     if step >= grid.n_steps:
         raise ValueError(f"step {step} out of range (n_steps={grid.n_steps})")
-    z = _gaussian_block(plan.master_seed, stream_ids, plan.counter + step, grid.n_space)
-    return z * math.sqrt(grid.dt * grid.dx)
+    return _gaussian_block(plan.master_seed, stream_ids, plan.counter + step, grid.n_space,
+                           math.sqrt(grid.dt * grid.dx))

@@ -91,58 +91,67 @@ class ImplicitHeatSolver:
 
     D2 is the 3-point Dirichlet Laplacian; the matrix is strictly diagonally
     dominant, so the Thomas sweep needs no pivoting.  ``solve`` accepts shape
-    (n_space,) or (n_space, m) and returns float64 (integer input is cast
-    first); each column is processed by the identical scalar recurrence, so
-    results do not depend on the batch width.
+    (n_space, ...) and returns float64 (integer input is cast first); each
+    column is processed by the identical scalar recurrence, so results do
+    not depend on the batch width.  A batched sweep runs row by row with
+    ``out=`` ufuncs and one scratch row, so it allocates nothing of the
+    field's size beyond its result, and none at all with ``out``.
 
-    A 1-D field runs the recurrence over Python floats, with ``beta`` and
-    ``gamma`` held as lists: a numpy sweep pays per-element call overhead
-    that a single column cannot spread.  Python floats are IEEE doubles, and
-    each step is the same division, multiplication and addition of the same
-    operands in the same order as the 2-D numpy sweep, so a column comes
-    out bit for bit as that sweep gives it, NaN signs included.
+    The coefficients ``beta`` and ``gamma`` are lists of Python floats.  A
+    1-D field runs the recurrence over Python floats: a numpy sweep pays
+    per-row call overhead that a single column cannot spread.  Python
+    floats are IEEE doubles, and each step is the same division,
+    multiplication and addition of the same operands in the same order as
+    the batched numpy sweep, so a column comes out bit for bit as that sweep
+    gives it, NaN signs included.
     """
 
     def __init__(self, n_space: int, dx: float, dt: float):
-        r = dt / (2.0 * dx * dx)
-        beta = np.empty(n_space)
-        gamma = np.empty(n_space - 1)
-        beta[0] = 1.0 + 2.0 * r
+        r = float(dt / (2.0 * dx * dx))
+        beta = [1.0 + 2.0 * r]
+        gamma = []
         for i in range(n_space - 1):
-            gamma[i] = -r / beta[i]
-            beta[i + 1] = (1.0 + 2.0 * r) + r * gamma[i]
+            gamma.append(-r / beta[i])
+            beta.append((1.0 + 2.0 * r) + r * gamma[i])
         self.n_space = n_space
         self.r = r
         self._beta = beta
         self._gamma = gamma
-        self._beta_list = beta.tolist()
-        self._gamma_list = gamma.tolist()
 
-    def solve(self, w: np.ndarray) -> np.ndarray:
+    def solve(self, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The solution v, written into ``out`` when given (``out=w`` solves in place)."""
         w = np.asarray(w, dtype=np.float64)
         if w.ndim == 1:
-            return self._solve_column(w)
-        n, r, beta, gamma = self.n_space, self.r, self._beta, self._gamma
-        y = np.empty_like(w)
-        y[0] = w[0] / beta[0]
-        for i in range(1, n):
-            y[i] = (w[i] + r * y[i - 1]) / beta[i]
-        v = np.empty_like(w)
-        v[n - 1] = y[n - 1]
-        for i in range(n - 2, -1, -1):
-            v[i] = y[i] - gamma[i] * v[i + 1]
+            return self._solve_column(w, out)
+        r, beta, gamma = self.r, self._beta, self._gamma
+        v = np.empty_like(w) if out is None else out
+        tmp = np.empty_like(w[0])
+        vs, ws = list(v), list(w)  # row views, made once per solve
+        # forward sweep y_i = (w_i + r y_{i-1}) / beta_i into v (w_i is read
+        # before y_i is written, so out=w is safe), then v_i = y_i - gamma_i v_{i+1}
+        np.divide(ws[0], beta[0], out=vs[0])
+        for i in range(1, self.n_space):
+            np.multiply(r, vs[i - 1], out=tmp)
+            np.add(ws[i], tmp, out=tmp)
+            np.divide(tmp, beta[i], out=vs[i])
+        for i in range(self.n_space - 2, -1, -1):
+            np.multiply(gamma[i], vs[i + 1], out=tmp)
+            np.subtract(vs[i], tmp, out=vs[i])
         return v
 
-    def _solve_column(self, w: np.ndarray) -> np.ndarray:
+    def _solve_column(self, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         """The same sweep as ``solve`` on one column, over Python floats."""
-        r, beta, gamma = float(self.r), self._beta_list, self._gamma_list
+        r, beta, gamma = self.r, self._beta, self._gamma
         y = w.tolist()  # a fresh list: y, then v, overwrite w's entries in place
         prev = y[0] = y[0] / beta[0]
         for i in range(1, self.n_space):
             prev = y[i] = (y[i] + r * prev) / beta[i]
         for i in range(self.n_space - 2, -1, -1):
             prev = y[i] = y[i] - gamma[i] * prev
-        return np.array(y)
+        if out is None:
+            return np.array(y)
+        out[:] = y
+        return out
 
 
 @lru_cache(maxsize=32)

@@ -82,8 +82,8 @@ class ReflectionLedger:
 
     def record(self, d_eta: np.ndarray, u_new: np.ndarray) -> None:
         self.node_mass += d_eta
-        self.total += float(np.sum(d_eta))
-        self.complementarity_sum += float(np.sum(u_new * d_eta))
+        self.total += float(d_eta.sum())
+        self.complementarity_sum += float((u_new * d_eta).sum())
         self.steps_recorded += 1
         if self.per_step is not None:
             self.per_step.append(d_eta.copy())
@@ -166,18 +166,27 @@ def _drift_noise_solve(u, dW, model, grid):
     """Explicit drift + noise, then the implicit half-Laplacian solve.
 
     ``u`` has shape (n_space, ...) and ``dW`` holds cell increments that
-    broadcast against it; every operation acts per column.
+    broadcast against it; every operation acts per column.  The value is
+    u + dt b(u) + sigma(u) (dW / dx), summed in that order into fresh
+    product arrays and solved in place; what ``model.b`` and
+    ``model.sigma`` return is only read, since a model may return ``u``.
     """
-    w = u + grid.dt * model.b(u) + model.sigma(u) * (dW / grid.dx)
-    return _cached_solver(grid.n_space, grid.dx, grid.dt).solve(w)
+    w = np.multiply(grid.dt, model.b(u), out=np.empty(np.shape(u)))
+    np.add(u, w, out=w)
+    noise = dW / grid.dx  # holds the noise term too when dW has u's shape
+    noise = np.multiply(model.sigma(u), noise, out=noise if noise.shape == w.shape else None)
+    np.add(w, noise, out=w)
+    return _cached_solver(grid.n_space, grid.dx, grid.dt).solve(w, out=w)
 
 
 def _project(v, grid, ledger=None):
-    """Projection onto the nonnegative cone; cell mass (v_i)^- * dx goes to the ledger."""
-    out = np.maximum(v, 0.0)
-    if ledger is not None:
-        ledger.record(np.maximum(-v, 0.0) * grid.dx, out)
-    return out
+    """Clip v onto the nonnegative cone in place and return it; cell mass
+    (v_i)^- * dx goes to the ledger.  Callers pass a field they own."""
+    if ledger is None:
+        return np.maximum(v, 0.0, out=v)
+    d_eta = np.maximum(-v, 0.0) * grid.dx
+    ledger.record(d_eta, np.maximum(v, 0.0, out=v))
+    return v
 
 
 def _check_finite(u, u_prev, step, streams):
@@ -186,7 +195,7 @@ def _check_finite(u, u_prev, step, streams):
     The last axis of u and u_prev (the field one step earlier) runs over
     ``streams``; a 1-D field is the single stream ``streams[0]``.
     """
-    if np.all(np.isfinite(u)):
+    if np.isfinite(u).all():
         return
     k = int(np.argmin(np.isfinite(u).reshape(-1, len(streams)).all(axis=0)))
     last = np.asarray(u_prev).reshape(-1, len(streams))[:, k]

@@ -349,7 +349,6 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         for j, q in enumerate(qs):
             U_new[:, j, :] = penalty_resolvent(U_new[:, j, :], q, model.penalty_kind)
         u_ref = _project(U_new[:, n_eps, :], grid, ledger)
-        U_new[:, n_eps, :] = u_ref
         _check_finite(U_new, U, m, streams)
         U = U_new
         min_reflected = min(min_reflected, float(np.min(u_ref)))

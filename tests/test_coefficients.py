@@ -255,6 +255,36 @@ class TestCatalogue:
         with pytest.raises(ValueError):
             model_from_config("nope", {})
 
+    # each catalogue model's b and sigma next to the closed form they compute
+    CLOSED_FORMS = [
+        (sin_modulated_model(), lambda u: 1.0 * np.sin(1.0 * u),
+         lambda u: 1.5 + 0.4 * np.sin(2.5 * u)),
+        (sin_modulated_model(b_amp=-2.0, b_freq=3.0, s_base=2.0, s_amp=-0.5, s_freq=0.7),
+         lambda u: -2.0 * np.sin(3.0 * u), lambda u: 2.0 + -0.5 * np.sin(0.7 * u)),
+        (affine_clamped_model(), lambda u: np.clip(0.5 * u + 0.0, -2.0, 2.0),
+         lambda u: np.clip(0.5 * u + 1.5, 1.0, 2.0)),
+        (affine_clamped_model(-3.0, 0.25, 1.0, -0.5, 1.0, 0.5, 3.0),
+         lambda u: np.clip(-3.0 * u + 0.25, -1.0, 1.0),
+         lambda u: np.clip(-0.5 * u + 1.0, 0.5, 3.0)),
+        (constant_model(0.3, -1.2), lambda u: np.full_like(u, 0.3), lambda u: np.full_like(u, -1.2)),
+    ]
+
+    @pytest.mark.parametrize("k", range(len(CLOSED_FORMS)))
+    def test_b_sigma_equal_closed_forms_bitwise(self, k):
+        model, b, sigma = self.CLOSED_FORMS[k]
+        rng = np.random.default_rng(k)
+        specials = [np.nan, -np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324,
+                    2.2e-308, -0.0, 0.0]
+        u = rng.normal(size=(63, 4, 32)) * 10.0 ** rng.integers(-20, 20, size=(63, 4, 32))
+        u.flat[rng.integers(0, u.size, size=500)] = rng.choice(specials, size=500)
+        kept = u.copy()
+        with np.errstate(all="ignore"):
+            for field in (u, u[:, 1, :], u[:, 2, 5], u[7]):
+                assert model.b(field).tobytes() == b(field).tobytes()
+                assert model.sigma(field).tobytes() == sigma(field).tobytes()
+                assert model.b(field) is not field and model.sigma(field) is not field
+        assert u.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("build", [
         lambda: sin_modulated_model(penalty="foo"),
         lambda: affine_clamped_model(penalty="negative part"),

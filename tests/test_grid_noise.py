@@ -261,6 +261,30 @@ class TestNoiseThreads:
         for t, got in results:
             assert got.tobytes() == serial[t].tobytes()
 
+    def test_reset_after_partial_block(self):
+        # an odd n_raw leaves the thread's generator mid-block (buffer
+        # position 1, counter word 0 at 2); every later stream must still
+        # start from an empty buffer at counter [1, 0, step, 0]
+        calls = [(5, 7, 3, [0, 2**64 - 1]), (64, 9, 0, [2**64 - 1]),
+                 (3, 2**64 - 1, 2**40, [2**64 - 1, 1]), (64, 9, 1, [5, 2**64 - 1, 0])]
+        got = []
+
+        def run():
+            for n_raw, seed, step, streams in calls:
+                got.append(_philox_raw(seed, streams, step, n_raw))
+
+        th = threading.Thread(target=run)
+        th.start()
+        th.join(timeout=60)
+        assert len(got) == len(calls)
+        for (n_raw, seed, step, streams), words in zip(calls, got):
+            assert words.shape == (n_raw, len(streams))
+            assert np.array_equal(words, philox_reference(seed, streams, step, n_raw))
+            for col, stream in enumerate(streams):
+                oracle = np.random.Philox(counter=step << 128,
+                                          key=seed + (stream << 64)).random_raw(n_raw)
+                assert np.array_equal(words[:, col], oracle)
+
     def test_call_after_other_seed_equals_fresh_thread(self):
         grid = make_grid(15, 1e-2, 0.1)
         plan = NoisePlan(11, 4)

@@ -104,6 +104,18 @@ class TestHeatKernel:
             heat_kernel(0.0, 0.3, 0.4)
 
 
+def _special_matrix(rng, n_space):
+    """(n_space, 64) floats over 600 decades; columns 8.. hold nan, -nan,
+    +-inf, +-1e308, subnormals and -0.0 at one to three random rows."""
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308,
+                5e-324, -5e-324, 2.2e-308, -0.0]
+    W = rng.normal(size=(n_space, 64)) * 10.0 ** rng.integers(-300, 300, size=64)
+    for j in range(8, 64):
+        rows = rng.integers(0, n_space, size=1 + j % 3)
+        W[rows, j] = rng.choice(specials, size=rows.size)
+    return W
+
+
 class TestImplicitStep:
     def test_zero_fixed_point(self):
         out = implicit_step(np.zeros(63), 1 / 64, 1e-3)
@@ -141,13 +153,8 @@ class TestImplicitStep:
         # they must agree bit for bit, non-finite, huge and subnormal entries
         # (and the NaN signs they produce) included
         rng = np.random.default_rng(5)
-        specials = [math.nan, -math.nan, math.inf, -math.inf, 1e308, -1e308,
-                    5e-324, -5e-324, 2.2e-308, -0.0]
         for n_space in (3, 7, 63):
-            W = rng.normal(size=(n_space, 64)) * 10.0 ** rng.integers(-300, 300, size=64)
-            for j in range(8, 64):
-                rows = rng.integers(0, n_space, size=1 + j % 3)
-                W[rows, j] = rng.choice(specials, size=rows.size)
+            W = _special_matrix(rng, n_space)
             solver = ImplicitHeatSolver(n_space, 1.0 / (n_space + 1), 1e-3)
             with np.errstate(all="ignore"):
                 batched = solver.solve(W)
@@ -158,6 +165,26 @@ class TestImplicitStep:
                     assert single.tobytes() == batched[:, j].tobytes(), (n_space, j)
                     assert column.tobytes() == W[:, j].tobytes()  # input not mutated
             assert np.isnan(batched[:, 8:]).any() and np.isinf(batched[:, 8:]).any()
+
+    @pytest.mark.parametrize("lanes", [(), (64,), (4, 16)])
+    def test_solve_into_out_matches_fresh(self, lanes):
+        # out= and the in-place solve out=w give the bytes of a fresh solve
+        rng = np.random.default_rng(6)
+        for n_space in (3, 7, 63):
+            W = _special_matrix(rng, n_space)
+            fields = list(W.T) if lanes == () else [W.reshape((n_space, *lanes))]
+            solver = ImplicitHeatSolver(n_space, 1.0 / (n_space + 1), 1e-3)
+            with np.errstate(all="ignore"):
+                for field in fields:
+                    fresh = solver.solve(field)
+                    out = np.full_like(field, 7.0)
+                    assert solver.solve(field, out=out) is out
+                    assert out.tobytes() == fresh.tobytes(), n_space
+                    w = field.copy()
+                    assert solver.solve(w, out=w) is w
+                    assert w.tobytes() == fresh.tobytes(), n_space
+                solved = np.stack([solver.solve(field) for field in fields])
+            assert np.isnan(solved).any() and np.isinf(solved).any()
 
     @pytest.mark.parametrize("shape", [(7,), (7, 3)])
     def test_integer_input_is_not_truncated(self, shape):

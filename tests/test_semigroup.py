@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,41 @@ class TestRunEnsemble:
         assert getattr(exc.value, "stream", None) == 0
         assert exc.value.step == 0
         assert exc.value.max_abs == np.max(h)
+
+    def test_model_returning_its_input_leaves_fields_intact(self, small):
+        # b and sigma may hand back the field they were given: the engine
+        # only reads what they return, so the run equals one with copies
+        grid, _, _, h = small
+        H = np.stack([h, 0.5 * h])
+        kept = H.copy()
+        same, copies = (CoefficientModel(name="identity", b=b, sigma=b, L_b=1.0, L_sigma=1.0,
+                                         kappa1=0.5, kappa2=2.0)
+                        for b in (lambda u: u, lambda u: u.copy()))
+        for mode, eps in (("reflected", None), ("penalized", 1e-2)):
+            U = run_ensemble(H, grid.n_steps, mode, same, grid, seed=4, n_paths=5, eps=eps)
+            assert H.tobytes() == kept.tobytes()
+            ref = run_ensemble(H, grid.n_steps, mode, copies, grid, seed=4, n_paths=5, eps=eps)
+            assert U.tobytes() == ref.tobytes()
+            path = solve_path(h, mode, same, grid, NoisePlan(4, 2), eps=eps)
+            assert H[0].tobytes() == h.tobytes() == kept[0].tobytes()
+            assert path.fields.tobytes() == U[0, :, 2].tobytes()
+
+    def test_v16_pass_peak_memory(self, monkeypatch):
+        # one thread, 16 variants, one 256-stream chunk: besides its output
+        # the pass holds at most 4.5 arrays of the chunk's field size
+        monkeypatch.setenv("RSPDE_THREADS", "1")
+        grid = make_grid(63, 2.5e-3, 0.25)
+        model = standard_model()
+        H = np.abs(np.random.default_rng(0).normal(size=(16, grid.n_space)))
+        run_ensemble(H, 1, "reflected", model, grid, seed=3, n_paths=256)  # warm the caches
+        tracemalloc.start()
+        try:
+            out = run_ensemble(H, 3, "reflected", model, grid, seed=3, n_paths=256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        field_bytes = grid.n_space * 16 * 256 * 8
+        assert (peak - out.nbytes) / field_bytes <= 4.5
 
     def test_bad_thread_count_names_variable(self, small, monkeypatch):
         grid, model, _, h = small
