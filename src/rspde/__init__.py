@@ -16,8 +16,6 @@ from .coefficients import (
     harnack_rhs,
     model_from_config,
     standard_model,
-    t0_eps,
-    validate_model,
     zeta,
 )
 from .grid_noise import (
@@ -29,7 +27,7 @@ from .grid_noise import (
     sup_norm,
     with_stream,
 )
-from .heat import heat_apply, heat_kernel, implicit_step
+from .heat import heat_apply, implicit_step
 from .semigroup import (
     Directions,
     Functional,
@@ -59,7 +57,6 @@ from .verify import (
     check_lipschitz_Pt,
     check_log_harnack,
     check_variance_bound,
-    gronwall_bound,
 )
 
 __version__ = "0.1.0"

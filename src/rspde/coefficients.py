@@ -1,16 +1,17 @@
-"""Coefficient models, assumption validation, and the explicit bound functions.
+"""Coefficient models and the explicit bound functions.
 
-A model bundles drift b, diffusion sigma, and a nonnegative penalty
-nonlinearity together with the declared constants (Lipschitz bounds L_b,
-L_sigma and the diffusion window kappa1 <= |sigma| <= kappa2) that the
-inequality checkers consume.  Models are opaque callables, so validation is
-by sampling on a user-declared range, not symbolic.
+A model bundles drift b, diffusion sigma and the name of a penalty kind
+together with the declared constants (Lipschitz bounds L_b, L_sigma and the
+diffusion window kappa1 <= |sigma| <= kappa2) that the inequality checkers
+consume.  The catalogue models derive these constants from their
+parameters.  Each penalty kind is defined in one place, by its resolvent
+in ``solver.penalty_resolvent``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,17 +23,12 @@ __all__ = [
     "constant_M",
     "zeta",
     "harnack_rhs",
-    "t0_eps",
-    "validate_model",
-    "ModelValidationReport",
     "constant_model",
     "affine_clamped_model",
     "sin_modulated_model",
     "standard_model",
     "model_from_config",
     "MODEL_CATALOGUE",
-    "penalty_negative_part",
-    "penalty_arctan_square",
     "adaptive_simpson",
 ]
 
@@ -43,35 +39,8 @@ class DegenerateDiffusionError(ValueError):
     """Raised when a bound formula needs L_sigma > 0 but got 0."""
 
 
-# ---------------------------------------------------------------------------
-# penalties
-# ---------------------------------------------------------------------------
-
-def penalty_negative_part(u):
-    """f(u) = max(-u, 0): zero on [0, inf), slope -1 below."""
-    return np.maximum(-u, 0.0)
-
-
-def _dpenalty_negative_part(u):
-    # a.e. derivative; the value at u = 0 is taken to be 0
-    return np.where(u < 0.0, -1.0, 0.0)
-
-
-def penalty_arctan_square(u):
-    """f(u) = arctan(min(u,0)^2): smooth, bounded penalty alternative."""
-    w = np.minimum(u, 0.0)
-    return np.arctan(w * w)
-
-
-def _dpenalty_arctan_square(u):
-    w = np.minimum(u, 0.0)
-    return 2.0 * w / (1.0 + w ** 4)
-
-
-_PENALTIES = {
-    "negative_part": (penalty_negative_part, _dpenalty_negative_part),
-    "arctan_square": (penalty_arctan_square, _dpenalty_arctan_square),
-}
+# the penalty kinds; ``solver.penalty_resolvent`` defines each one
+_PENALTIES = ("negative_part", "arctan_square")
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +69,6 @@ class CoefficientModel:
     @property
     def differentiable(self) -> bool:
         return self.db is not None and self.dsigma is not None
-
-    def penalty(self, u):
-        return _PENALTIES[self.penalty_kind][0](u)
-
-    def penalty_deriv(self, u):
-        return _PENALTIES[self.penalty_kind][1](u)
 
 
 # The catalogue's b and sigma compute in one output array, applying the
@@ -209,87 +172,6 @@ def model_from_config(name: str, params: dict | None = None) -> CoefficientModel
 
 
 # ---------------------------------------------------------------------------
-# assumption validation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ModelValidationReport:
-    passed: bool
-    worst_ratio_b: float
-    worst_ratio_sigma: float
-    sigma_min: float
-    sigma_max: float
-    failures: list[str] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        lines = [
-            f"model validation: {status}",
-            f"  worst sampled Lipschitz ratio b: {self.worst_ratio_b:.6g}",
-            f"  worst sampled Lipschitz ratio sigma: {self.worst_ratio_sigma:.6g}",
-            f"  sampled |sigma| range: [{self.sigma_min:.6g}, {self.sigma_max:.6g}]",
-        ]
-        lines.extend(f"  failure: {msg}" for msg in self.failures)
-        return "\n".join(lines)
-
-
-def validate_model(model: CoefficientModel, lo: float, hi: float,
-                   n_samples: int = 10_000, seed: int = 20210627) -> ModelValidationReport:
-    """Sampled check of the declared constants on [lo, hi].
-
-    Draws n_samples (u, v) pairs, compares difference quotients of b and
-    sigma against L_b, L_sigma, checks kappa1 <= |sigma| <= kappa2 pointwise,
-    and checks the penalty shape (nonincreasing, zero on u >= 0, positive
-    below).  A sampled ratio may exceed its constant by at most 1e-9 relative.
-    """
-    if not hi > lo:
-        raise ValueError("empty validation range")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(lo, hi, size=n_samples)
-    v = rng.uniform(lo, hi, size=n_samples)
-    keep = np.abs(u - v) > 1e-12 * max(1.0, abs(hi), abs(lo))
-    du = np.abs(u[keep] - v[keep])
-
-    failures: list[str] = []
-    slack = 1.0 + 1e-9
-
-    ratio_b = float(np.max(np.abs(model.b(u[keep]) - model.b(v[keep])) / du, initial=0.0))
-    if ratio_b > model.L_b * slack:
-        failures.append(f"b ratio {ratio_b:.6g} exceeds declared L_b={model.L_b}")
-
-    ratio_s = float(np.max(np.abs(model.sigma(u[keep]) - model.sigma(v[keep])) / du, initial=0.0))
-    if ratio_s > model.L_sigma * slack:
-        failures.append(f"sigma ratio {ratio_s:.6g} exceeds declared L_sigma={model.L_sigma}")
-
-    abs_sigma = np.abs(model.sigma(u))
-    s_min, s_max = float(abs_sigma.min()), float(abs_sigma.max())
-    if not 0.0 < model.kappa1 < model.kappa2:
-        failures.append(f"need 0 < kappa1 < kappa2, got ({model.kappa1}, {model.kappa2})")
-    if s_min < model.kappa1 / slack:
-        failures.append(f"sampled |sigma| min {s_min:.6g} below kappa1={model.kappa1}")
-    if s_max > model.kappa2 * slack:
-        failures.append(f"sampled |sigma| max {s_max:.6g} above kappa2={model.kappa2}")
-
-    w = np.sort(u)
-    f_vals = model.penalty(w)
-    if np.any(np.diff(f_vals) > 1e-12):
-        failures.append("penalty is not nonincreasing on samples")
-    if np.any(f_vals[w >= 0.0] != 0.0):
-        failures.append("penalty nonzero for some u >= 0")
-    if np.any(f_vals[w < 0.0] <= 0.0):
-        failures.append("penalty not strictly positive for some u < 0")
-
-    return ModelValidationReport(
-        passed=not failures,
-        worst_ratio_b=ratio_b,
-        worst_ratio_sigma=ratio_s,
-        sigma_min=s_min,
-        sigma_max=s_max,
-        failures=failures,
-    )
-
-
-# ---------------------------------------------------------------------------
 # explicit constants and bound functions
 # ---------------------------------------------------------------------------
 
@@ -299,6 +181,8 @@ def constant_M(L_b: float, L_sigma: float) -> float:
     Undefined for L_sigma = 0 (two terms divide by powers of L_sigma); that
     degenerate case raises instead of guessing a constant.
     """
+    if not L_b >= 0.0:
+        raise ValueError(f"L_b must be >= 0, got {L_b}")
     if L_sigma <= 0.0:
         raise DegenerateDiffusionError(
             "constant_M needs L_sigma > 0; constant-diffusion models fall outside the bound formulas"
@@ -397,55 +281,6 @@ def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) ->
         raise ValueError(f"t must be > 0, got {t}")
     if dist2 < 0:
         raise ValueError(f"dist2 must be >= 0, got {dist2}")
+    if not kappa1 > 0:
+        raise ValueError(f"kappa1 must be > 0, got {kappa1}")
     return profile.M * dist2 / (kappa1 * kappa1 * profile.int_exp_neg_zeta(t))
-
-
-def _sigma_series(t: float) -> float:
-    """sum_{n>=1} (1 - exp(-n^2 pi^2 t))/n^2 with a certified truncation.
-
-    Computed as pi^2/6 minus the exponentially convergent remainder series,
-    truncated at N with exp(-N^2 pi^2 t)/N below 1e-12 (tail bound), so the
-    truncation error is negligible against the 1/6 threshold it feeds.
-    """
-    if t <= 0:
-        return 0.0
-    n_cut = max(16, int(math.ceil(1.7 / math.sqrt(t))))
-    n_cut = min(n_cut, 50_000_000)
-    n = np.arange(1, n_cut + 1, dtype=float)
-    rem = float(np.sum(np.exp(-(n * n) * (math.pi ** 2) * t) / (n * n)))
-    return math.pi ** 2 / 6.0 - rem
-
-
-def t0_eps(eps: float, L_b: float, L_sigma: float) -> float:
-    """Largest t with ((L_b+1/eps)^2 t/pi^2)(1-e^{-pi^2 t})
-    + (2 L_sigma^2/pi^2) sum_n (1-e^{-n^2 pi^2 t})/n^2 <= 1/6.
-
-    Found by bisection to 1e-10 absolute; returns 0.0 when the condition
-    already fails at t = 1e-12.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    pi2 = math.pi ** 2
-    lam = (L_b + 1.0 / eps) ** 2
-
-    def cond(t: float) -> float:
-        return (lam * t / pi2) * (1.0 - math.exp(-pi2 * t)) + (
-            2.0 * L_sigma ** 2 / pi2
-        ) * _sigma_series(t)
-
-    lo = 1e-12
-    if cond(lo) > 1.0 / 6.0:
-        return 0.0
-    hi = max(2e-12, 1e-6)
-    while cond(hi) <= 1.0 / 6.0:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("t0_eps bracket search exceeded 1e12")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if cond(mid) <= 1.0 / 6.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo

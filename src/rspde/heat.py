@@ -1,4 +1,4 @@
-"""Dirichlet heat machinery: sine basis, exact semigroup, kernel, implicit step.
+"""Dirichlet heat machinery: sine basis, exact semigroup, implicit step.
 
 The generator here is half the Dirichlet Laplacian on (0,1): mode n carries
 eigenvalue n^2 pi^2 / 2.  The spectral routines serve as exact references;
@@ -16,12 +16,9 @@ __all__ = [
     "SpectralBasis",
     "spectral_basis",
     "heat_apply",
-    "heat_kernel",
     "implicit_step",
     "ImplicitHeatSolver",
 ]
-
-_KERNEL_TERM_CUTOFF = 1e-14
 
 
 class SpectralBasis:
@@ -63,27 +60,6 @@ def heat_apply(h: np.ndarray, t: float, n_modes: int | None = None) -> np.ndarra
     basis = spectral_basis(h.shape[0], n_modes)
     damped = np.exp(-basis.eigenvalues * t) * basis.coefficients(h)
     return basis.modes.T @ damped
-
-
-def heat_kernel(t: float, x: float, y: float, n_modes: int | None = None) -> float:
-    """Dirichlet heat kernel sum_n e^{-n^2 pi^2 t/2} 2 sin(n pi x) sin(n pi y).
-
-    The sum stops once the term bound 2 e^{-n^2 pi^2 t/2} drops below 1e-14
-    (or at n_modes if given).  t must be positive.
-    """
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
-    total = 0.0
-    n = 1
-    while True:
-        bound = 2.0 * math.exp(-0.5 * n * n * math.pi * math.pi * t)
-        if bound < _KERNEL_TERM_CUTOFF:
-            break
-        total += bound * math.sin(n * math.pi * x) * math.sin(n * math.pi * y)
-        n += 1
-        if n_modes is not None and n > n_modes:
-            break
-    return total
 
 
 class ImplicitHeatSolver:

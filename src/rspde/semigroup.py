@@ -45,7 +45,6 @@ __all__ = [
     "estimate_Pt_grad_sq",
     "estimate_variance",
     "estimate_grad_Pt",
-    "bootstrap_variance_positive",
 ]
 
 _STREAM_CHUNK = 256  # fixed partition width; never derived from the worker count
@@ -398,15 +397,6 @@ def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, e
     """Unbiased sample variance of Phi(u(t; h)) with its asymptotic std error."""
     return _estimate(f"var({phi.kind})", phi.value, _variance_se,
                      h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
-
-
-def bootstrap_variance_positive(values, n_boot=2000, seed=0, level=0.99) -> bool:
-    """True when the bootstrap lower confidence bound of the variance is > 0."""
-    rng = np.random.default_rng(seed)
-    values = np.asarray(values, float)
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
-    boots = np.var(values[idx], axis=1, ddof=1)
-    return float(np.quantile(boots, 1.0 - level)) > 0.0
 
 
 class Directions(NamedTuple):

@@ -110,6 +110,17 @@ class Trajectory:
 # nonlinear stages
 # ---------------------------------------------------------------------------
 
+# Each penalty f of the catalogue (``coefficients._PENALTIES``) is defined
+# here and nowhere else, by its resolvent and the resolvent's derivative:
+#   negative_part   f(u) = max(-u, 0),           f'(u) = -1 on u < 0
+#   arctan_square   f(u) = arctan(min(u, 0)^2),  f'(u) = 2w/(1 + w^4), w = min(u, 0)
+# Both are nonincreasing, zero on u >= 0 and positive below; f'(0) = 0.
+
+def _arctan_square_slope(w, dt_over_eps):
+    """1 - (dt/eps) f'(w) for the arctan penalty at w <= 0."""
+    return 1.0 - dt_over_eps * 2.0 * w / (1.0 + w ** 4)
+
+
 def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str) -> np.ndarray:
     """Solve u = v + (dt/eps) f(u) nodewise.
 
@@ -136,8 +147,7 @@ def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str) -> np.ndarra
                     break
                 np.copyto(lo, un, where=g < 0.0)
                 np.copyto(hi, un, where=g >= 0.0)
-                gp = 1.0 - dt_over_eps * 2.0 * un / (1.0 + un ** 4)
-                nxt = un - g / gp
+                nxt = un - g / _arctan_square_slope(un, dt_over_eps)
                 outside = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
                 np.copyto(nxt, 0.5 * (lo + hi), where=outside)
                 un = nxt
@@ -157,8 +167,7 @@ def penalty_resolvent_deriv(u_new: np.ndarray, dt_over_eps: float, kind: str) ->
     if kind == "negative_part":
         return np.where(u_new < 0.0, 1.0 / (1.0 + dt_over_eps), 1.0)
     if kind == "arctan_square":
-        w = np.minimum(u_new, 0.0)
-        return 1.0 / (1.0 - dt_over_eps * 2.0 * w / (1.0 + w ** 4))
+        return 1.0 / _arctan_square_slope(np.minimum(u_new, 0.0), dt_over_eps)
     raise ValueError(f"unknown penalty kind {kind!r}")
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "check_initial_continuity",
     "check_eps_monotonicity",
     "check_eps_convergence",
-    "gronwall_bound",
 ]
 
 
@@ -285,6 +284,8 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
     _check_positive("eps_small", eps_small)
     if not eps_small < eps_big:
         raise ValueError("need eps_small < eps_big")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     h = np.asarray(h, float)
     plan = NoisePlan(seed)
     streams = np.arange(n_paths)
@@ -372,29 +373,3 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         seed=seed,
         notes=["sup distances must decrease along the ladder; reflected run must stay >= 0"],
     )
-
-
-def gronwall_bound(alpha, beta, gamma, t: float, n_nodes: int = 2001) -> float:
-    """alpha(t) + beta(t) * int_0^t alpha(s) gamma(s) exp(int_s^t beta gamma) ds.
-
-    This is the closed envelope implied by psi <= alpha + beta * int gamma psi;
-    inputs are callables sampled on a uniform quadrature mesh and must be
-    nonnegative there.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    a_t = float(alpha(t))
-    b_t = float(beta(t))
-    if t == 0:
-        return a_t
-    s = np.linspace(0.0, t, n_nodes)
-    a = np.array([float(alpha(v)) for v in s])
-    b = np.array([float(beta(v)) for v in s])
-    g = np.array([float(gamma(v)) for v in s])
-    if np.any(a < 0) or np.any(b < 0) or np.any(g < 0):
-        raise ValueError("alpha, beta, gamma must be nonnegative on [0, t]")
-    bg = b * g
-    h = s[1] - s[0]
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (bg[1:] + bg[:-1]) * h)))
-    integrand = a * g * np.exp(cum[-1] - cum)
-    return a_t + b_t * float(np.trapezoid(integrand, s))

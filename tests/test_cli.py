@@ -433,3 +433,15 @@ class TestBoundsCommand:
                      "--kappa1", "1.1", "--t", "0.25"]) == 0
         out = capsys.readouterr().out
         assert "t,M,zeta" in out
+
+    @pytest.mark.parametrize("L_b, kappa1, field", [
+        ("-1", "1", "L_b"),
+        ("1", "0", "kappa1"),
+        ("1", "-1.1", "kappa1"),
+    ], ids=["L_b-negative", "kappa1-zero", "kappa1-negative"])
+    def test_bad_constant_exit_1_names_field(self, capsys, L_b, kappa1, field):
+        assert main(["bounds", "--L-b", L_b, "--L-sigma", "1", "--kappa1", kappa1,
+                     "--t", "0.25"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.count("\r\n") <= 1  # at most the header, no row
+        assert f"{field} must be" in captured.err

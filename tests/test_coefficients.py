@@ -1,5 +1,6 @@
-"""Models, assumption validation, and the explicit bound functions."""
+"""Models, their declared constants, and the explicit bound functions."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspde.coefficients import (
+    _PENALTIES,
     BoundProfile,
-    CoefficientModel,
     DegenerateDiffusionError,
     adaptive_simpson,
     affine_clamped_model,
@@ -17,14 +18,11 @@ from rspde.coefficients import (
     constant_model,
     harnack_rhs,
     model_from_config,
-    penalty_arctan_square,
-    penalty_negative_part,
     sin_modulated_model,
     standard_model,
-    t0_eps,
-    validate_model,
     zeta,
 )
+from rspde.solver import penalty_resolvent, penalty_resolvent_deriv
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -51,6 +49,20 @@ def trapezoid_exp_neg_zeta(t, L_b, L_sigma, n=10**6):
         + (18.0 * lb2 * ls2 / (5.0 * SQRT_PI)) * s**2.5
     )
     return float(np.trapezoid(np.exp(-z), s))
+
+
+def assert_declared_constants_hold(model, lo=-15.0, hi=15.0, n_samples=10_000):
+    """Sampled difference quotients of b and sigma stay within L_b and
+    L_sigma, and kappa1 <= |sigma| <= kappa2, on [lo, hi] (1e-9 relative
+    slack, 1e-12 absolute for the rounding of b and sigma)."""
+    rng = np.random.default_rng(20210627)
+    u, v = rng.uniform(lo, hi, size=(2, n_samples))
+    du = np.abs(u - v)
+    for f, lip in ((model.b, model.L_b), (model.sigma, model.L_sigma)):
+        assert np.all(np.abs(f(u) - f(v)) <= lip * (1.0 + 1e-9) * du + 1e-12)
+    abs_sigma = np.abs(model.sigma(u))
+    assert np.all(abs_sigma >= model.kappa1 / (1.0 + 1e-9))
+    assert np.all(abs_sigma <= model.kappa2 * (1.0 + 1e-9))
 
 
 class TestConstantM:
@@ -157,91 +169,40 @@ class TestQuadratureAndHarnack:
             harnack_rhs(0.0, 1.0, profile, 1.0)
 
 
-class TestT0Eps:
-    def test_nonincreasing_in_inverse_eps(self):
-        vals = [t0_eps(e, 1.0, 1.0) for e in (1.0, 0.1, 0.01)]
-        assert vals[0] >= vals[1] >= vals[2] > 0.0
-
-    def test_vanishes_as_eps_to_zero(self):
-        assert t0_eps(1e-6, 1.0, 1.0) < t0_eps(1e-2, 1.0, 1.0)
-
-    def test_bracket_validity(self):
-        # with L_sigma = 1 the diffusion series alone exceeds 1/6 in the
-        # large-t limit (limit value 1/3), so t0 is finite
-        eps, lb, ls = 10.0, 0.0, 1.0
-        t0 = t0_eps(eps, lb, ls)
-        assert 0.0 < t0 < 1e6
-
-        pi2 = math.pi**2
-
-        def cond(t):
-            n = np.arange(1, 200_000)
-            series = pi2 / 6 - float(np.sum(np.exp(-(n**2) * pi2 * t) / n**2))
-            return ((lb + 1 / eps) ** 2 * t / pi2) * (1 - math.exp(-pi2 * t)) + (
-                2 * ls**2 / pi2
-            ) * series
-
-        assert cond(max(t0 - 1e-6, 1e-12)) <= 1.0 / 6.0
-        assert cond(t0 + 1e-6) > 1.0 / 6.0
-
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            t0_eps(0.0, 1.0, 1.0)
-
-
-class TestValidateModel:
-    def test_sin_drift_passes(self):
-        model = CoefficientModel(
-            name="custom", b=np.sin, sigma=lambda u: 1.5 + 0.4 * np.sin(u),
-            L_b=1.0, L_sigma=0.4, kappa1=1.1, kappa2=1.9,
-        )
-        report = validate_model(model, -10.0, 10.0)
-        assert report.passed, str(report)
-
-    def test_sigma_band_passes(self):
-        model = CoefficientModel(
-            name="custom", b=np.sin, sigma=lambda u: 1.5 + 0.4 * np.sin(u),
-            L_b=1.0, L_sigma=0.4, kappa1=1.1, kappa2=1.9,
-        )
-        report = validate_model(model, -20.0, 20.0)
-        assert report.passed
-        assert report.sigma_min >= 1.1 - 1e-9
-        assert report.sigma_max <= 1.9 + 1e-9
-
-    def test_unbounded_sigma_fails(self):
-        model = CoefficientModel(
-            name="bad", b=lambda u: np.zeros_like(u), sigma=lambda u: np.asarray(u, float),
-            L_b=0.0, L_sigma=1.0, kappa1=0.5, kappa2=10.0,
-        )
-        report = validate_model(model, -1.0, 1.0)
-        assert not report.passed
-        assert any("kappa1" in msg for msg in report.failures)
-
-    def test_understated_lipschitz_fails(self):
-        model = CoefficientModel(
-            name="bad", b=lambda u: 2.0 * np.sin(u), sigma=lambda u: 1.5 + 0.4 * np.sin(u),
-            L_b=1.0, L_sigma=0.4, kappa1=1.1, kappa2=1.9,
-        )
-        report = validate_model(model, -10.0, 10.0)
-        assert not report.passed
-
-    def test_rejects_empty_range(self):
-        with pytest.raises(ValueError):
-            validate_model(standard_model(), 1.0, 1.0)
-
-
 class TestCatalogue:
     def test_standard_model_constants(self):
         m = standard_model()
         assert (m.L_b, m.L_sigma) == (1.0, 1.0)
         assert (m.kappa1, m.kappa2) == (pytest.approx(1.1), pytest.approx(1.9))
         assert m.differentiable
-        assert validate_model(m, -15.0, 15.0).passed
 
     def test_affine_clamped_valid(self):
         m = affine_clamped_model()
+        assert (m.L_b, m.L_sigma, m.kappa1, m.kappa2) == (0.5, 0.5, 1.0, 2.0)
         assert not m.differentiable
-        assert validate_model(m, -5.0, 5.0).passed
+
+    # each catalogue model at its defaults and at one other parameter set
+    DECLARED = {
+        "sin_modulated": sin_modulated_model(),
+        "sin_modulated-params": sin_modulated_model(b_amp=-2.0, b_freq=3.0, s_base=2.0,
+                                                    s_amp=-0.5, s_freq=0.7),
+        "affine_clamped": affine_clamped_model(),
+        "affine_clamped-params": affine_clamped_model(-3.0, 0.25, 1.0, -0.5, 1.0, 0.5, 3.0),
+        "constant": constant_model(),
+        "constant-params": constant_model(0.3, -1.2),
+    }
+
+    @pytest.mark.parametrize("name", DECLARED)
+    def test_declared_constants_hold(self, name):
+        assert_declared_constants_hold(self.DECLARED[name])
+
+    @pytest.mark.parametrize("tighter", [
+        {"L_b": 0.9}, {"L_sigma": 0.9}, {"kappa1": 1.2}, {"kappa2": 1.8},
+    ], ids=["L_b", "L_sigma", "kappa1", "kappa2"])
+    def test_understated_constant_is_caught(self, tighter):
+        # the standard model declares L_b = L_sigma = 1, kappa1 = 1.1, kappa2 = 1.9
+        with pytest.raises(AssertionError):
+            assert_declared_constants_hold(dataclasses.replace(standard_model(), **tighter))
 
     def test_constant_model_degenerate(self):
         m = constant_model(0.0, 0.5)
@@ -296,20 +257,26 @@ class TestCatalogue:
             build()
 
     def test_penalty_shapes(self):
-        u = np.linspace(-3, 3, 101)
-        for f in (penalty_negative_part, penalty_arctan_square):
-            vals = f(u)
-            assert np.all(vals[u >= 0] == 0.0)
-            assert np.all(vals[u < 0] > 0.0)
-            assert np.all(np.diff(vals) <= 1e-15)
+        # each penalty f is defined by its resolvent u = v + f(u) (dt/eps = 1):
+        # f = 0 on [0, inf) keeps v >= 0 in place, f > 0 below 0 lifts v < 0
+        # towards 0, and a nonincreasing f gives an increasing resolvent
+        v = np.linspace(-3, 3, 101)
+        for kind in _PENALTIES:
+            u = penalty_resolvent(v, 1.0, kind)
+            assert np.array_equal(u[v >= 0], v[v >= 0])
+            assert np.all((v[v < 0] < u[v < 0]) & (u[v < 0] < 0.0))
+            assert np.all(np.diff(u) > 0.0)
 
     def test_penalty_derivative_signs(self):
-        m = standard_model(penalty="arctan_square")
-        u = np.linspace(-3, 3, 101)
-        assert np.all(m.penalty_deriv(u) <= 0.0)
-        m2 = standard_model()
-        assert np.all(m2.penalty_deriv(u) <= 0.0)
-        assert m2.penalty_deriv(np.array([0.0]))[0] == 0.0
+        # the resolvent's slope 1/(1 - (dt/eps) f'(u)) lies in (0, 1] when
+        # f' <= 0, and is 1 on u >= 0, where f' = 0 (at 0 by convention)
+        v = np.linspace(-3, 3, 101)
+        for kind in _PENALTIES:
+            u = penalty_resolvent(v, 1.0, kind)
+            d = penalty_resolvent_deriv(u, 1.0, kind)
+            assert np.all((0.0 < d) & (d <= 1.0))
+            assert np.all(d[u >= 0] == 1.0)
+            assert penalty_resolvent_deriv(np.array([0.0]), 1.0, kind)[0] == 1.0
 
 
 class TestBoundProfileInvariants:

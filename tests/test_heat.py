@@ -1,12 +1,12 @@
-"""Sine basis, exact semigroup, heat kernel, and the implicit step."""
+"""Sine basis, exact semigroup, and the implicit step."""
 
 import math
 
 import numpy as np
 import pytest
 
-from rspde.grid_noise import l2_norm, make_grid
-from rspde.heat import ImplicitHeatSolver, heat_apply, heat_kernel, implicit_step, spectral_basis
+from rspde.grid_noise import l2_norm
+from rspde.heat import ImplicitHeatSolver, heat_apply, implicit_step, spectral_basis
 
 
 @pytest.fixture(scope="module")
@@ -64,44 +64,6 @@ class TestHeatApply:
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             heat_apply(np.zeros(7), -0.1)
-
-
-class TestHeatKernel:
-    def test_symmetry(self):
-        for t in (0.01, 0.1):
-            for x, y in [(0.3, 0.7), (0.11, 0.52)]:
-                assert abs(heat_kernel(t, x, y) - heat_kernel(t, y, x)) < 1e-14
-
-    def test_dirichlet_mass_loss(self):
-        t, x = 0.05, 0.3
-        ys = np.linspace(0, 1, 4001)
-        vals = np.array([heat_kernel(t, x, y) for y in ys])
-        assert np.trapezoid(vals, ys) <= 1.0 + 1e-10
-
-    def test_gaussian_domination(self):
-        # kernel bounded by the free-space density with variance t
-        for t in (0.01, 0.1):
-            pts = np.linspace(0.04, 0.96, 20)
-            for x in pts:
-                for y in pts:
-                    q = math.exp(-((x - y) ** 2) / (2 * t)) / math.sqrt(2 * math.pi * t)
-                    assert heat_kernel(t, x, y) <= q + 1e-12
-
-    def test_kernel_reproduces_heat_apply(self):
-        grid = make_grid(31, 1e-3, 0.05)
-        rng = np.random.default_rng(3)
-        h = rng.uniform(0, 1, size=31)
-        t = 0.05
-        out = heat_apply(h, t)
-        quad = np.array([
-            grid.dx * sum(heat_kernel(t, xi, yj) * hj for yj, hj in zip(grid.x, h))
-            for xi in grid.x
-        ])
-        assert np.max(np.abs(out - quad)) < max(1e-10, grid.dx**2)
-
-    def test_rejects_nonpositive_time(self):
-        with pytest.raises(ValueError):
-            heat_kernel(0.0, 0.3, 0.4)
 
 
 def _special_matrix(rng, n_space):

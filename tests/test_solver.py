@@ -69,6 +69,17 @@ class TestPenaltyResolvent:
         assert np.array_equal(u[finite], penalty_resolvent(v[finite], 50.0, "arctan_square"))
         assert u[1] == -math.inf and math.isnan(u[3])
 
+    @pytest.mark.parametrize("kind", ["negative_part", "arctan_square"])
+    @pytest.mark.parametrize("q", [0.5, 4.0, 50.0])
+    def test_derivative_matches_central_difference(self, kind, q):
+        # d u / d v through the stored output, against (u(v+d) - u(v-d)) / 2d
+        # at points whose +-d neighbours stay on one side of 0
+        v = np.concatenate([np.linspace(-3.0, -0.05, 40), np.linspace(0.05, 3.0, 40)])
+        d = 1e-5
+        diff = (penalty_resolvent(v + d, q, kind) - penalty_resolvent(v - d, q, kind)) / (2 * d)
+        deriv = penalty_resolvent_deriv(penalty_resolvent(v, q, kind), q, kind)
+        assert np.allclose(deriv, diff, rtol=1e-5, atol=0.0)
+
     def test_derivative_convention_at_zero(self):
         d = penalty_resolvent_deriv(np.array([-1.0, 0.0, 1.0]), 4.0, "negative_part")
         assert np.array_equal(d, [0.2, 1.0, 1.0])

@@ -1,4 +1,4 @@
-"""Inequality checkers, coupled comparison experiments, Gronwall envelope."""
+"""Inequality checkers and coupled comparison experiments."""
 
 import math
 
@@ -26,7 +26,6 @@ from rspde.verify import (
     check_lipschitz_Pt,
     check_log_harnack,
     check_variance_bound,
-    gronwall_bound,
 )
 
 
@@ -276,6 +275,15 @@ class TestEpsExperiments:
         with pytest.raises(ValueError, match="eps_small"):
             check_eps_monotonicity(h, model, grid, 1e-2, eps_small, 4, seed=1)
 
+    def test_monotonicity_needs_one_path(self, lab):
+        # the violating fraction needs at least one path; one is enough
+        grid, model, _, h, _ = lab
+        for n_paths in (0, -1):
+            with pytest.raises(ValueError, match="n_paths"):
+                check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, n_paths, seed=1)
+        report = check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, 1, seed=1)
+        assert report.inputs["points_checked"] == grid.n_steps * grid.n_space
+
     @pytest.mark.parametrize("ladder", [[], [1e-2, 0.0], [1e-2, -1e-3]])
     def test_convergence_rejects_empty_or_nonpositive_ladder(self, lab, ladder):
         grid, model, _, h, _ = lab
@@ -310,38 +318,3 @@ class TestEpsExperiments:
             check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1)
         for exc in (mono, conv):
             assert (exc.value.step, exc.value.stream) == (0, 0)
-
-
-class TestGronwall:
-    def test_constant_coefficients_closed_form(self):
-        val = gronwall_bound(lambda t: 1.0, lambda t: 1.0, lambda t: 1.0, 1.0)
-        assert val == pytest.approx(math.e, rel=1e-6)
-
-    def test_beta_zero_returns_alpha(self):
-        val = gronwall_bound(lambda t: 2.5 + t, lambda t: 0.0, lambda t: 7.0, 0.8)
-        assert val == pytest.approx(3.3, rel=1e-12)
-
-    def test_premise_solution_below_envelope(self):
-        # psi built to satisfy the premise with near-equality (fixed-point
-        # iteration of psi = alpha + beta * int gamma psi) stays below the bound
-        alpha = lambda t: 1.0 + 0.5 * t
-        beta = lambda t: 0.6 + t * t
-        gamma = lambda t: 0.8 + 0.2 * math.sin(3 * t)
-        T = 1.2
-        s = np.linspace(0.0, T, 1201)
-        a = np.array([alpha(v) for v in s])
-        b = np.array([beta(v) for v in s])
-        g = np.array([gamma(v) for v in s])
-        psi = a.copy()
-        h = s[1] - s[0]
-        for _ in range(60):
-            integrand = g * psi
-            cums = np.concatenate(([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * h)))
-            psi = a + b * cums
-        for idx in (120, 400, 800, 1200):
-            bound = gronwall_bound(alpha, beta, gamma, float(s[idx]))
-            assert psi[idx] <= bound * (1.0 + 1e-6)
-
-    def test_rejects_negative_inputs(self):
-        with pytest.raises(ValueError):
-            gronwall_bound(lambda t: -1.0, lambda t: 1.0, lambda t: 1.0, 1.0)
