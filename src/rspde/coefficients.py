@@ -179,10 +179,13 @@ def constant_M(L_b: float, L_sigma: float) -> float:
     """Smoothing constant max{3, 9Ls^2/sqrt(pi), 8Lb^2/Ls^4, 144Lb^2/(Ls^2 sqrt(pi)), 864Lb^2/sqrt(pi)}.
 
     Undefined for L_sigma = 0 (two terms divide by powers of L_sigma); that
-    degenerate case raises instead of guessing a constant.
+    degenerate case raises instead of guessing a constant.  Both constants
+    must be finite.
     """
-    if not L_b >= 0.0:
-        raise ValueError(f"L_b must be >= 0, got {L_b}")
+    if not 0.0 <= L_b < math.inf:
+        raise ValueError(f"L_b must be finite and >= 0, got {L_b}")
+    if not math.isfinite(L_sigma):
+        raise ValueError(f"L_sigma must be finite, got {L_sigma}")
     if L_sigma <= 0.0:
         raise DegenerateDiffusionError(
             "constant_M needs L_sigma > 0; constant-diffusion models fall outside the bound formulas"
@@ -200,8 +203,8 @@ def constant_M(L_b: float, L_sigma: float) -> float:
 
 def zeta(t: float, L_b: float, L_sigma: float) -> float:
     """Growth exponent t^(1/2) + (9Ls^4/4) t + (3Lb^2/2) t^2 + (18Lb^2Ls^2/(5 sqrt(pi))) t^(5/2)."""
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     lb2 = L_b * L_b
     ls2 = L_sigma * L_sigma
     return (
@@ -213,7 +216,13 @@ def zeta(t: float, L_b: float, L_sigma: float) -> float:
 
 
 def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
-    """Adaptive Simpson quadrature of f on [a, b] to relative tolerance rel_tol."""
+    """Adaptive Simpson quadrature of f on [a, b] to relative tolerance rel_tol.
+
+    Raises on a non-finite interval or coarse estimate, on which the
+    stopping test never holds and the recursion would run to full depth.
+    """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"need a finite interval, got [{a}, {b}]")
     if b < a:
         raise ValueError("need b >= a")
     if b == a:
@@ -221,6 +230,8 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
     # coarse magnitude estimate to convert the relative tolerance to absolute
     xs = np.linspace(a, b, 65)
     coarse = float(np.trapezoid([f(x) for x in xs], xs))
+    if not math.isfinite(coarse):
+        raise ValueError(f"integrand is not finite on [{a}, {b}]: coarse estimate {coarse}")
     tol = rel_tol * max(abs(coarse), 1e-300)
 
     def simpson(fa, fm, fb, h):
@@ -281,6 +292,6 @@ def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) ->
         raise ValueError(f"t must be > 0, got {t}")
     if dist2 < 0:
         raise ValueError(f"dist2 must be >= 0, got {dist2}")
-    if not kappa1 > 0:
-        raise ValueError(f"kappa1 must be > 0, got {kappa1}")
+    if not 0.0 < kappa1 < math.inf:
+        raise ValueError(f"kappa1 must be finite and > 0, got {kappa1}")
     return profile.M * dist2 / (kappa1 * kappa1 * profile.int_exp_neg_zeta(t))

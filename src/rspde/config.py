@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -66,20 +67,23 @@ def _need(block: dict, block_name: str, key: str, types, pred=None, desc=""):
     val = block[key]
     if not isinstance(val, types) or isinstance(val, bool):
         raise ConfigError(f"{block_name}.{key}: expected {desc or types}, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(f"{block_name}.{key}: must be finite, got {val!r}")
     if pred is not None and not pred(val):
         raise ConfigError(f"{block_name}.{key}: invalid value {val!r} ({desc})")
     return val
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A finite int or float (JSON's Infinity and NaN parse to floats)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _positive_list(block: dict, block_name: str, key: str) -> None:
     if key in block:
         vals = block[key]
         if not isinstance(vals, list) or not vals or not all(_is_number(v) and v > 0 for v in vals):
-            raise ConfigError(f"{block_name}.{key}: must be a non-empty list of positive numbers")
+            raise ConfigError(f"{block_name}.{key}: must be a non-empty list of finite numbers > 0")
 
 
 def _on_mesh(grid: SpaceTimeGrid, field: str, times) -> None:
@@ -95,7 +99,7 @@ def _mode_lists(block: dict, block_name: str, *keys) -> None:
         if key in block and not (
             isinstance(block[key], list) and all(_is_number(v) for v in block[key])
         ):
-            raise ConfigError(f"{block_name}.{key}: must be a list of numeric mode coefficients")
+            raise ConfigError(f"{block_name}.{key}: must be a list of finite mode coefficients")
 
 
 def validate_config(cfg: dict) -> None:
@@ -151,6 +155,8 @@ def validate_config(cfg: dict) -> None:
             _need(c, "check", "p", (int, float), lambda v: v >= 1, ">= 1")
         for key in ("ladder", "eps_ladder"):
             _positive_list(c, "check", key)
+        if any(s > 1 for s in c.get("ladder", [])):
+            raise ConfigError("check.ladder: rungs must lie in (0, 1]")
         for key in ("eps_big", "eps_small"):
             if key in c:
                 _need(c, "check", key, (int, float), lambda v: v > 0, "> 0")

@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import CoefficientModel
-from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm
+from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm, sine_profile
 from .heat import spectral_basis
-from .solver import _check_finite, _drift_noise_solve, _project, penalty_resolvent
+from .solver import _check_finite, _check_run, _drift_noise_solve, _project, penalty_resolvent
 
 __all__ = [
     "Functional",
@@ -33,7 +33,6 @@ __all__ = [
     "MCEstimate",
     "GradientEstimate",
     "Directions",
-    "field_id",
     "clipped_affine",
     "exp_neg_pair",
     "bounded_cylinder",
@@ -96,10 +95,6 @@ class Functional:
     @property
     def is_c1(self) -> bool:
         return self.smooth or self.kind != "bounded_cylinder"
-
-    @property
-    def lower_bound(self) -> float:
-        return self.lo
 
     @property
     def strictly_positive(self) -> bool:
@@ -167,8 +162,6 @@ def functional_from_config(grid: SpaceTimeGrid, spec: dict) -> Functional:
     The direction is given as sine-mode coefficients under ``direction_modes``;
     remaining keys are the kind's numeric parameters.
     """
-    from .grid_noise import sine_profile
-
     spec = dict(spec)
     kind = spec.pop("kind")
     if kind not in _FUNCTIONAL_BUILDERS:
@@ -182,31 +175,6 @@ def functional_from_config(grid: SpaceTimeGrid, spec: dict) -> Functional:
 class MCEstimate:
     mean: float
     std_error: float
-    n_paths: int
-    master_seed: int
-    stream_range: tuple[int, int] = (0, 0)
-    functional: str = ""
-    h_id: str = ""
-    t: float = 0.0
-
-    def to_json(self) -> dict:
-        return {
-            "functional": self.functional,
-            "h_id": self.h_id,
-            "t": self.t,
-            "mean": self.mean,
-            "std_error": self.std_error,
-            "n_paths": self.n_paths,
-            "seed": self.master_seed,
-            "stream_range": list(self.stream_range),
-        }
-
-
-def field_id(h) -> str:
-    """Short content hash identifying an initial field in output records."""
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(h, dtype=float).tobytes()).hexdigest()[:12]
 
 
 @dataclass
@@ -221,8 +189,6 @@ class GradientEstimate:
     best_direction: str
     per_direction: list = field(default_factory=list)  # (label, mean, std_error)
     rejected: list = field(default_factory=list)       # (label, projection distance)
-    n_paths: int = 0
-    master_seed: int = 0
     delta: float = 0.0
 
 
@@ -263,10 +229,7 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     V, n = H.shape
     if n != grid.n_space:
         raise ValueError(f"variant fields have {n} nodes, expected {grid.n_space}")
-    if mode == "penalized" and (eps is None or eps <= 0):
-        raise ValueError("penalized mode needs eps > 0")
-    if mode not in ("penalized", "reflected"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_run(H, mode, eps)
     if n_run_steps > grid.n_steps:
         raise ValueError("n_run_steps exceeds grid.n_steps")
     pairs = list(track_sup_pairs or [])
@@ -343,31 +306,28 @@ def _variance_se(values: np.ndarray) -> tuple[float, float]:
     return var, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
 
 
-def _estimate(name, per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
+def _estimate(per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
               at_t0=None) -> MCEstimate:
     """Shared body of the scalar estimators.
 
-    Runs one V=1 pass of n_paths streams from h to time t, maps the final
-    fields to per-path values with ``per_path`` and reduces them to
-    (mean, std_error) with ``reduce``.  At t = 0 every path sits at h: the
-    estimate is ``at_t0`` (default per_path(h)) with std error 0.
+    Runs one V=1 pass of streams 0..n_paths-1 from h to time t, maps the
+    final fields to per-path values with ``per_path`` and reduces them to
+    the estimate's (mean, std_error) with ``reduce``.  At t = 0 every path
+    sits at h: the mean is ``at_t0`` (default per_path(h)) and the std
+    error 0.
     """
     _check_n_paths(n_paths)
     h = np.asarray(h, float)
-    prov = {"functional": name, "h_id": field_id(h), "t": t}
     n_steps = grid.step_of(t)
     if n_steps == 0:
-        mean, se = (float(per_path(h)) if at_t0 is None else at_t0), 0.0
-    else:
-        U = run_ensemble(h[None, :], n_steps, mode, model, grid, seed, n_paths, eps=eps)
-        mean, se = reduce(per_path(U[0]))
-    return MCEstimate(mean, se, n_paths, seed, (0, n_paths), **prov)
+        return MCEstimate(float(per_path(h)) if at_t0 is None else at_t0, 0.0)
+    U = run_ensemble(h[None, :], n_steps, mode, model, grid, seed, n_paths, eps=eps)
+    return MCEstimate(*reduce(per_path(U[0])))
 
 
 def estimate_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of Phi(u(t; h)) over streams 0..n_paths-1."""
-    return _estimate(phi.kind, phi.value, _mean_se,
-                     h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi.value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
@@ -377,26 +337,23 @@ def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps
 
     def log_value(U):
         values = phi.value(U)
-        if np.min(values) < phi.lower_bound * (1.0 - 1e-12):
+        if np.min(values) < phi.lo * (1.0 - 1e-12):
             raise FunctionalContractError(
-                f"sampled value {np.min(values)} below declared lower bound {phi.lower_bound}"
+                f"sampled value {np.min(values)} below declared lower bound {phi.lo}"
             )
         return np.log(values)
 
-    return _estimate(f"log({phi.kind})", log_value, _mean_se,
-                     h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(log_value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_grad_sq(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of |grad Phi|^2(u(t; h)) (right-hand sides of the bounds)."""
-    return _estimate(f"grad_sq({phi.kind})", phi.grad_sq, _mean_se,
-                     h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi.grad_sq, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Unbiased sample variance of Phi(u(t; h)) with its asymptotic std error."""
-    return _estimate(f"var({phi.kind})", phi.value, _variance_se,
-                     h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
+    return _estimate(phi.value, _variance_se, h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
 
 
 class Directions(NamedTuple):
@@ -447,16 +404,15 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     with shared noise; the proxy is the max over directions of
     |P_t Phi(h+) - P_t Phi(h-)| / (2 delta).
 
-    ``directions`` is a Directions (default: direction_dictionary(grid)) or
-    a plain sequence of fields, which are labelled k0, k1, ...
+    ``directions`` is a Directions of labelled unit fields; None means
+    direction_dictionary(grid).
     """
     _check_n_paths(n_paths)
     h = np.asarray(h, dtype=float)
     if directions is None:
         directions = direction_dictionary(grid)
     elif not isinstance(directions, Directions):
-        fields = [np.asarray(k, float) for k in directions]
-        directions = Directions([f"k{i}" for i in range(len(fields))], fields)
+        raise TypeError(f"directions must be a Directions or None, got {type(directions).__name__}")
     labels, fields = directions
     if delta is None:
         delta = 1e-3 * max(float(l2_norm(h, grid.dx)), 1.0)
@@ -500,7 +456,5 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
         best_direction=per_direction[best][0],
         per_direction=per_direction,
         rejected=rejected,
-        n_paths=n_paths,
-        master_seed=seed,
         delta=delta,
     )

@@ -215,6 +215,17 @@ def _check_finite(u, u_prev, step, streams):
 # full paths
 # ---------------------------------------------------------------------------
 
+def _check_run(h, mode, eps):
+    """The rules of every run: a known mode, eps > 0 when penalized and an
+    entrywise nonnegative initial field (or stack of fields)."""
+    if mode not in ("penalized", "reflected"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "penalized" and (eps is None or eps <= 0):
+        raise ValueError("penalized mode needs eps > 0")
+    if np.any(h < 0.0):
+        raise ValueError("initial field must be entrywise >= 0")
+
+
 def _resolve_save_steps(grid: SpaceTimeGrid, save_at) -> list[int]:
     if save_at is None:
         return [grid.n_steps]
@@ -232,16 +243,10 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.n_space,):
         raise ValueError(f"h has shape {h.shape}, expected ({grid.n_space},)")
-    if np.any(h < 0.0):
-        raise ValueError("initial field must be entrywise >= 0")
-    if mode == "penalized":
-        if eps is None or eps <= 0:
-            raise ValueError("penalized mode needs eps > 0")
-        ledger = None
-    elif mode == "reflected":
+    _check_run(h, mode, eps)
+    ledger = None
+    if mode == "reflected":
         ledger = ReflectionLedger.empty(grid.dx, h.shape, record_full_ledger)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     save_steps = _resolve_save_steps(grid, save_at)
     snapshots = {}
@@ -261,17 +266,8 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
 
     times = np.array([s * grid.dt for s in save_steps])
     fields = np.stack([snapshots[s] for s in save_steps])
-    meta = {
-        "mode": mode,
-        "eps": eps,
-        "master_seed": plan.master_seed,
-        "stream_id": plan.stream_id,
-        "counter": plan.counter,
-        "model": model.name,
-        "n_space": grid.n_space,
-        "dt": grid.dt,
-        "n_steps": grid.n_steps,
-    }
+    meta = {"mode": mode, "eps": eps, "master_seed": plan.master_seed,
+            "stream_id": plan.stream_id, "counter": plan.counter}
     return Trajectory(times=times, fields=fields, initial=h.copy(), ledger=ledger, meta=meta)
 
 
@@ -313,7 +309,7 @@ def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
         if m + 1 in save_steps:
             snapshots[m + 1] = v.copy()
     times = np.array([s * grid.dt for s in save_steps])
-    fields = np.stack([snapshots[s] for s in save_steps]) if snapshots else np.empty((0, grid.n_space))
+    fields = np.stack([snapshots[s] for s in save_steps])
     return Trajectory(times=times, fields=fields, initial=k.copy(), ledger=None,
                       meta=dict(meta, mode="tangent"))
 
@@ -321,16 +317,13 @@ def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
 def deterministic_obstacle(v, grid: SpaceTimeGrid):
     """Minimal nonnegative correction z with z + v >= 0 and exact complementarity.
 
-    ``v`` is either an array of shape (n_steps+1, n_space) sampled on the
-    grid times or a callable t -> field.  Per step, z takes an implicit heat
-    step and is then lifted by exactly the amount needed to keep z + v
-    nonnegative; the lift mass (times dx) goes to the ledger.  Returns the
-    full history of z and the ledger.
+    ``v`` is an array of shape (n_steps+1, n_space): the driving field at
+    the grid times.  Per step, z takes an implicit heat step and is then
+    lifted by exactly the amount needed to keep z + v nonnegative; the lift
+    mass (times dx) goes to the ledger.  Returns the full history of z and
+    the ledger.
     """
-    if callable(v):
-        v_arr = np.stack([np.asarray(v(t), dtype=float) for t in grid.times()])
-    else:
-        v_arr = np.asarray(v, dtype=float)
+    v_arr = np.asarray(v, dtype=float)
     if v_arr.shape != (grid.n_steps + 1, grid.n_space):
         raise ValueError(
             f"obstacle data has shape {v_arr.shape}, expected {(grid.n_steps + 1, grid.n_space)}"

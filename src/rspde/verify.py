@@ -233,8 +233,8 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     """Initial-data continuity: E[sup_{[0,T]x[0,1]} |u(h1) - u(h2_s)|^p]
     should scale like |h1 - h2_s|_inf^p along a geometric ladder.
 
-    The ladder interpolates h2_s = h1 + s (h2 - h1) (a convex combination,
-    so it stays in the cone); all runs share noise.  Passes when the ratio
+    The ladder interpolates h2_s = h1 + s (h2 - h1) with rungs s in (0, 1]
+    (a convex combination, so it stays in the cone); all runs share noise.  Passes when the ratio
     estimate / |h1-h2_s|_inf^p varies by less than 2x across the ladder.
     """
     h1 = np.asarray(h1, float)
@@ -242,6 +242,8 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     if p < 1:
         raise ValueError("p must be >= 1")
     _check_positive("ladder", *ladder)
+    if any(s > 1 for s in ladder):
+        raise ValueError(f"ladder rungs must lie in (0, 1], got {list(ladder)}")
     _check_n_paths(n_paths)
     diff = h2 - h1
     if float(sup_norm(diff)) == 0.0:

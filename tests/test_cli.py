@@ -108,6 +108,8 @@ class TestConfigSchema:
         ("check", "functional", {"kind": "clipped_affine", "direction_modes": [1.0],
                                  "slope": 2.0}),
         ("run", "eps_ladder", []),
+        ("check", "ladder", [1.0, 2.0]),
+        ("run", "eps_ladder", [1e-2, math.inf]),
     ])
     def test_rejects_bad_ladder_eps_or_functional_naming_field(self, block, key, value):
         cfg = base_config(check={"name": "continuity"})
@@ -328,10 +330,14 @@ def _set(block, key, value):
     (["check", "comparison"], _set("check", "h_modes", ["a"]), "check.h_modes"),
     (["check", "continuity"], _set("check", "h1_modes", [0.5, "a"]), "check.h1_modes"),
     (["check", "continuity"], _set("check", "h2_modes", [True]), "check.h2_modes"),
+    (["simulate"], lambda cfg: cfg["run"].update(mode="penalized", eps=math.inf), "run.eps"),
+    (["check", "comparison"], _set("check", "eps_big", math.inf), "check.eps_big"),
+    (["check", "gradient"], _set("check", "t", math.inf), "check.t"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
-        "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry"])
+        "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry",
+        "run-eps-infinity", "eps-big-infinity", "t-infinity"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:
@@ -434,14 +440,22 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert "t,M,zeta" in out
 
-    @pytest.mark.parametrize("L_b, kappa1, field", [
-        ("-1", "1", "L_b"),
-        ("1", "0", "kappa1"),
-        ("1", "-1.1", "kappa1"),
-    ], ids=["L_b-negative", "kappa1-zero", "kappa1-negative"])
-    def test_bad_constant_exit_1_names_field(self, capsys, L_b, kappa1, field):
-        assert main(["bounds", "--L-b", L_b, "--L-sigma", "1", "--kappa1", kappa1,
-                     "--t", "0.25"]) == 1
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--L-b", "-1", "L_b"),
+        ("--kappa1", "0", "kappa1"),
+        ("--kappa1", "-1.1", "kappa1"),
+        ("--L-b", "inf", "L_b"),
+        ("--L-sigma", "nan", "L_sigma"),
+        ("--L-sigma", "inf", "L_sigma"),
+        ("--kappa1", "inf", "kappa1"),
+        ("--t", "nan", "t"),
+        ("--t", "inf", "t"),
+    ], ids=["L_b-negative", "kappa1-zero", "kappa1-negative",
+            "L_b-inf", "L_sigma-nan", "L_sigma-inf", "kappa1-inf", "t-nan", "t-inf"])
+    def test_bad_constant_exit_1_names_field(self, capsys, flag, value, field):
+        # a nan or inf constant used to spin in the quadrature or print a 0 row
+        args = {"--L-b": "1", "--L-sigma": "1", "--kappa1": "1.1", "--t": "0.25", flag: value}
+        assert main(["bounds", *[w for pair in args.items() for w in pair]]) == 1
         captured = capsys.readouterr()
         assert captured.out.count("\r\n") <= 1  # at most the header, no row
         assert f"{field} must be" in captured.err

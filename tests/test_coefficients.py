@@ -169,6 +169,51 @@ class TestQuadratureAndHarnack:
             harnack_rhs(0.0, 1.0, profile, 1.0)
 
 
+def counted(f, limit=10_000):
+    """f, raising RuntimeError once it has been evaluated ``limit`` times."""
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        if calls > limit:
+            raise RuntimeError(f"integrand evaluated more than {limit} times")
+        return f(x)
+    return g
+
+
+class TestNonFiniteInput:
+    """A nan or inf input raises a ValueError naming it; nothing spins."""
+
+    @pytest.mark.parametrize("L_b, L_sigma, field", [
+        (math.inf, 1.0, "L_b"), (math.nan, 1.0, "L_b"),
+        (1.0, math.inf, "L_sigma"), (1.0, math.nan, "L_sigma"), (1.0, -math.inf, "L_sigma"),
+    ])
+    def test_constant_M(self, L_b, L_sigma, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            constant_M(L_b, L_sigma)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_zeta(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            zeta(t, 1.0, 1.0)
+
+    @pytest.mark.parametrize("kappa1", [math.nan, math.inf])
+    def test_harnack_rhs(self, kappa1):
+        with pytest.raises(ValueError, match="kappa1 must be finite"):
+            harnack_rhs(0.25, 1.0, BoundProfile(1.0, 1.0), kappa1)
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                      (-math.inf, 0.0)])
+    def test_adaptive_simpson_interval(self, a, b):
+        with pytest.raises(ValueError, match="finite interval"):
+            adaptive_simpson(counted(lambda s: 1.0), a, b)
+
+    def test_adaptive_simpson_nan_integrand(self):
+        with pytest.raises(ValueError, match="not finite"):
+            adaptive_simpson(counted(lambda s: math.nan), 0.0, 1.0)
+
+
 class TestCatalogue:
     def test_standard_model_constants(self):
         m = standard_model()

@@ -322,16 +322,15 @@ class TestEstimatePt:
         b = estimate_Pt(phi, h, 0.05, "reflected", model, grid, 128, seed=11)
         assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
-    def test_json_record_provenance(self, small):
+    def test_rejects_negative_initial_field(self, small):
+        # the ensemble obeys solve_path's sign rule instead of running from -h
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, lo=-5, hi=5)
-        est = estimate_Pt(phi, h, 0.05, "reflected", model, grid, 16, seed=11)
-        record = est.to_json()
-        assert set(record) >= {"functional", "h_id", "t", "mean", "std_error",
-                               "n_paths", "seed"}
-        assert record["functional"] == "clipped_affine"
-        assert record["t"] == 0.05
-        assert len(record["h_id"]) == 12
+        with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
+            estimate_Pt(phi, -h, 0.05, "reflected", model, grid, 16, seed=11)
+        with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
+            run_ensemble(np.stack([h, -h]), 1, "penalized", model, grid, seed=11, n_paths=2,
+                         eps=1e-2)
 
     def test_rejects_off_mesh_time(self, small):
         grid, model, e1, h = small
@@ -400,18 +399,13 @@ class TestEstimateLogAndVariance:
         from rspde.semigroup import Functional
 
         class LyingFunctional(Functional):
-            # declares a floor its values do not honour
-            @property
-            def lower_bound(self):
-                return 0.45
-
-            @property
-            def strictly_positive(self):
-                return True
+            # declares the floor lo = 0.45 but clips its values at 0
+            def value(self, U):
+                return np.clip(self.offset + self.pair(U), 0.0, self.hi)
 
         grid, model, _, h = small
         e2 = spectral_basis(31).modes[1]  # sign-changing pairing direction
-        phi = LyingFunctional("clipped_affine", e2, grid.dx, offset=0.5, lo=0.0, hi=2.0)
+        phi = LyingFunctional("clipped_affine", e2, grid.dx, offset=0.5, lo=0.45, hi=2.0)
         with pytest.raises(FunctionalContractError):
             estimate_Pt_log(phi, h, 0.05, "reflected", model, grid, 256, seed=8)
 
@@ -485,26 +479,33 @@ class TestEstimateGrad:
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         with pytest.raises(ValueError, match="delta"):
             estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
-                             directions=[e1], delta=delta)
+                             directions=Directions(["e1"], [e1]), delta=delta)
 
-    def test_accepts_bare_direction_list(self, small):
+    def test_single_direction_t_zero_value(self, small):
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
-                               directions=[e1])
-        assert est.best_direction == "k0"
+                               directions=Directions(["e1"], [e1]))
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
 
-    def test_two_tuple_of_list_fields_is_two_directions(self, small):
-        # a plain 2-tuple is a sequence of fields, never (labels, fields)
+    def test_two_directions_t_zero_value(self, small):
         grid, model, e1, h = small
         e2 = spectral_basis(31).modes[1]
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
-                               directions=(list(e1), list(e2)))
-        assert [lbl for lbl, _, _ in est.per_direction] == ["k0", "k1"]
-        assert est.best_direction == "k0"
+                               directions=Directions(["e1", "e2"], [e1, e2]))
+        assert est.best_direction == "e1"
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
+
+    @pytest.mark.parametrize("directions", [[np.ones(31)], (np.ones(31), np.ones(31))],
+                             ids=["list", "two-tuple"])
+    def test_bare_sequence_rejected(self, small, directions):
+        # a bare 2-tuple of fields would unpack as (labels, fields)
+        grid, model, e1, h = small
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        with pytest.raises(TypeError, match="Directions"):
+            estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
+                             directions=directions)
 
     def test_coupled_beats_uncoupled_stderror(self, small):
         grid, model, e1, h = small

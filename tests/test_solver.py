@@ -307,6 +307,7 @@ class TestSolveTangent:
         bumped = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, plan,
                             save_at=[0.25], eps=1e-2)
         tang = solve_tangent(base, k, model, grid)
+        assert set(base.meta) == {"mode", "eps", "master_seed", "stream_id", "counter"}
         assert tang.meta == dict(base.meta, mode="tangent")
         fd = (bumped.at(0.25) - base.at(0.25)) / delta
         assert l2_norm(tang.at(0.25) - fd, grid.dx) < 0.01 * l2_norm(tang.at(0.25), grid.dx)

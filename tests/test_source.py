@@ -1,4 +1,4 @@
-"""Static checks on the package source: exports exist and imports are used."""
+"""Static checks on the package source: exports exist, imports are used and at top level."""
 
 import ast
 from pathlib import Path
@@ -53,3 +53,11 @@ def test_every_top_level_import_is_used(path):
                   isinstance(node, ast.ImportFrom) and node.module == "__future__")
               for name in imported_names(node) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_top_level(path):
+    tree = ast.parse(path.read_text())
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
+    assert not nested, f"{path.name}: imports below module level at lines {nested}"

@@ -225,9 +225,10 @@ class TestContinuityCheck:
         with pytest.raises(ValueError, match="n_paths"):
             check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 1, seed=1)
 
-    @pytest.mark.parametrize("ladder", [(), (1.0, 0.0), (1.0, -0.5)])
+    @pytest.mark.parametrize("ladder", [(), (1.0, 0.0), (1.0, -0.5), (1.0, 2.0)])
     def test_empty_or_nonpositive_ladder_rejected(self, lab, ladder):
-        # a zero rung made a nan ratio that max/min skipped, giving PASS
+        # a zero rung made a nan ratio that max/min skipped, giving PASS; a
+        # rung above 1 leaves the segment [h1, h2] and can leave the cone
         grid, model, _, h, _ = lab
         with pytest.raises(ValueError, match="ladder"):
             check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 4, seed=1,
