@@ -34,6 +34,8 @@ from .verify import (
 
 __all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds"]
 
+CHECK_NAMES = ("gradient", "log-harnack", "variance", "lipschitz", "continuity", "comparison")
+
 
 def _write_rows(fh, header, rows):
     """A header line, then one line of %.17g fields per row of floats.
@@ -141,7 +143,7 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
             ladder=tuple(chk.get("ladder", (1.0, 0.5, 0.25))),
         )
     if name not in _BOUND_CHECKS:
-        raise ConfigError(f"check.name: unknown check {name!r}")
+        raise ConfigError(f"unknown check {name!r}")
     if "functional" not in chk:
         raise ConfigError(f"check.functional: missing required field for the {name} check")
     phi = functional_from_config(grid, chk["functional"])
@@ -194,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--format", choices=("csv", "npz", "both"), default="csv")
 
     p_chk = sub.add_parser("check", parents=[run_args], help="run a named inequality/property check")
-    p_chk.add_argument("name", choices=cfgmod.CHECK_NAMES)
+    p_chk.add_argument("name", choices=CHECK_NAMES)
     p_chk.add_argument("--out", default=None)
     p_chk.add_argument("--debug-scale-m", type=float, default=1.0,
                        help="rescale the smoothing constant M (fail-injection debugging)")

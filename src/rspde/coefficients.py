@@ -260,30 +260,23 @@ def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8) -> float:
 
 class BoundProfile:
     """Bound package for one (L_b, L_sigma) pair: M, zeta, and the two
-    exponential growth integrals, with computed integrals cached per t."""
+    exponential growth integrals."""
 
     def __init__(self, L_b: float, L_sigma: float):
         self.L_b = L_b
         self.L_sigma = L_sigma
         self.M = constant_M(L_b, L_sigma)
-        self._cache: dict[tuple[float, int], float] = {}
 
     def zeta(self, t: float) -> float:
         return zeta(t, self.L_b, self.L_sigma)
 
     def int_exp_neg_zeta(self, t: float) -> float:
         """integral_0^t exp(-zeta(s)) ds, adaptive quadrature to 1e-8 relative."""
-        key = (t, -1)
-        if key not in self._cache:
-            self._cache[key] = adaptive_simpson(lambda s: math.exp(-self.zeta(s)), 0.0, t)
-        return self._cache[key]
+        return adaptive_simpson(lambda s: math.exp(-self.zeta(s)), 0.0, t)
 
     def int_exp_zeta(self, t: float) -> float:
         """integral_0^t exp(+zeta(s)) ds."""
-        key = (t, +1)
-        if key not in self._cache:
-            self._cache[key] = adaptive_simpson(lambda s: math.exp(self.zeta(s)), 0.0, t)
-        return self._cache[key]
+        return adaptive_simpson(lambda s: math.exp(self.zeta(s)), 0.0, t)
 
 
 def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) -> float:

@@ -314,10 +314,11 @@ def _estimate(per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
     final fields to per-path values with ``per_path`` and reduces them to
     the estimate's (mean, std_error) with ``reduce``.  At t = 0 every path
     sits at h: the mean is ``at_t0`` (default per_path(h)) and the std
-    error 0.
+    error 0.  The run rules hold at every t.
     """
     _check_n_paths(n_paths)
     h = np.asarray(h, float)
+    _check_run(h, mode, eps)
     n_steps = grid.step_of(t)
     if n_steps == 0:
         return MCEstimate(float(per_path(h)) if at_t0 is None else at_t0, 0.0)
@@ -409,6 +410,7 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     """
     _check_n_paths(n_paths)
     h = np.asarray(h, dtype=float)
+    _check_run(h, mode, eps)
     if directions is None:
         directions = direction_dictionary(grid)
     elif not isinstance(directions, Directions):

@@ -65,7 +65,6 @@ class ReflectionLedger:
     recorded only at nodes where the projected value is exactly zero.
     """
 
-    dx: float
     node_mass: np.ndarray
     total: float = 0.0
     complementarity_sum: float = 0.0
@@ -73,12 +72,8 @@ class ReflectionLedger:
     per_step: list | None = None
 
     @classmethod
-    def empty(cls, dx: float, shape, record_full: bool = False) -> "ReflectionLedger":
-        return cls(
-            dx=dx,
-            node_mass=np.zeros(shape),
-            per_step=[] if record_full else None,
-        )
+    def empty(cls, shape, record_full: bool = False) -> "ReflectionLedger":
+        return cls(node_mass=np.zeros(shape), per_step=[] if record_full else None)
 
     def record(self, d_eta: np.ndarray, u_new: np.ndarray) -> None:
         self.node_mass += d_eta
@@ -246,7 +241,7 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     _check_run(h, mode, eps)
     ledger = None
     if mode == "reflected":
-        ledger = ReflectionLedger.empty(grid.dx, h.shape, record_full_ledger)
+        ledger = ReflectionLedger.empty(h.shape, record_full_ledger)
 
     save_steps = _resolve_save_steps(grid, save_at)
     snapshots = {}
@@ -331,7 +326,7 @@ def deterministic_obstacle(v, grid: SpaceTimeGrid):
     if np.any(v_arr[0] < 0.0):
         raise ValueError("v(0) must be entrywise >= 0")
     solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
-    ledger = ReflectionLedger.empty(grid.dx, (grid.n_space,))
+    ledger = ReflectionLedger.empty((grid.n_space,))
     z_hist = np.zeros_like(v_arr)
     z = np.zeros(grid.n_space)
     for m in range(1, grid.n_steps + 1):

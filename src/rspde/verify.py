@@ -10,7 +10,7 @@ dynamics and the artifact tests a discretized proxy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -66,18 +66,10 @@ class CheckReport:
         return "PASS" if self.passed else "FAIL"
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "verdict": self.verdict,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "std_errors": self.std_errors,
-            "margin_ratio": self.margin_ratio,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "notes": self.notes,
-        }
+        """The fields, with ``verdict`` in place of ``passed``."""
+        blob = asdict(self)
+        del blob["passed"]
+        return {**blob, "verdict": self.verdict}
 
     def __str__(self) -> str:
         return (
@@ -102,6 +94,13 @@ def _margin(lhs: float, rhs: float) -> float:
     if lhs <= 0.0:
         return math.inf
     return rhs / lhs
+
+
+def _bound_profile(t, model: CoefficientModel) -> BoundProfile:
+    """The bound checks' prologue, run before any ensemble: t > 0, then M and zeta."""
+    if t <= 0:
+        raise ValueError("t must be > 0")
+    return BoundProfile(model.L_b, model.L_sigma)
 
 
 def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
@@ -136,12 +135,10 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     """
     if not phi.is_c1:
         raise ValueError("gradient estimate check needs a C1 catalogue functional")
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    profile = _bound_profile(t, model)
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions, delta=delta)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M * math.exp(profile.zeta(t))
     return _gate(
         "gradient", grad.value ** 2, factor * pgs.mean,
@@ -160,15 +157,11 @@ def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
 
     The log of the h2-side mean gets a delta-method standard error.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
-    if not phi.strictly_positive:
-        raise ValueError("log-Harnack check needs a strictly positive functional")
+    profile = _bound_profile(t, model)
     h1 = np.asarray(h1, float)
     h2 = np.asarray(h2, float)
     left = estimate_Pt_log(phi, h1, t, mode, model, grid, n_paths, seed, eps=eps)
     right = estimate_Pt(phi, h2, t, mode, model, grid, n_paths, seed, eps=eps)
-    profile = BoundProfile(model.L_b, model.L_sigma)
     dist2 = float(l2_norm(h1 - h2, grid.dx)) ** 2
     additive = m_scale * harnack_rhs(t, dist2, profile, model.kappa1) if dist2 > 0 else 0.0
     log_mean = math.log(right.mean)
@@ -187,13 +180,11 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
                          grid: SpaceTimeGrid, n_paths: int, seed: int, eps=None,
                          m_scale: float = 1.0) -> CheckReport:
     """Gate P_t Phi^2 - (P_t Phi)^2 <= 2 M k2^2 P_t |grad Phi|^2 int_0^t e^{zeta}."""
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    profile = _bound_profile(t, model)
     if not phi.is_c1:
         raise ValueError("variance bound check needs a C1 catalogue functional")
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M * model.kappa2 ** 2 * profile.int_exp_zeta(t)
     return _gate(
         "variance", var.mean, factor * pgs.mean, var.std_error, factor * pgs.std_error, grid,
@@ -211,12 +202,10 @@ def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
     strong-Feller check: the finite-difference proxy stays finite at t > 0
     even when |grad Phi| is unbounded.
     """
-    if t <= 0:
-        raise ValueError("t must be > 0")
+    profile = _bound_profile(t, model)
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions, delta=delta)
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    profile = BoundProfile(model.L_b, model.L_sigma)
     factor = 2.0 * m_scale * profile.M / (model.kappa1 ** 2 * profile.int_exp_neg_zeta(t))
     return _gate(
         "lipschitz", grad.value ** 2, factor * var.mean,
@@ -344,7 +333,7 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     U = np.broadcast_to(h[:, None, None], (grid.n_space, n_eps + 1, n_paths)).copy()
     qs = [grid.dt / e for e in eps_ladder]
     sup_dist = np.zeros((n_eps, n_paths))
-    ledger = ReflectionLedger.empty(grid.dx, (grid.n_space, n_paths))
+    ledger = ReflectionLedger.empty((grid.n_space, n_paths))
     min_reflected = 0.0
     for m in range(grid.n_steps):
         dW = increments_matrix(plan, grid, m, streams)

@@ -276,6 +276,22 @@ class TestCheckCommand:
         assert main(["check", "gradient", "--config", path]) == 1
         assert "check.functional" in capsys.readouterr().err
 
+    def test_check_name_in_config_is_not_read(self, tmp_path, capsys):
+        # the positional name picks the check; check.name may differ or be absent
+        cfg = small_check_config(eps_big=1e-2, eps_small=1e-3)
+        outputs = []
+        for label, name in (("same", "comparison"), ("other", "gradient"), ("absent", None)):
+            cfg["check"].pop("name", None)
+            if name is not None:
+                cfg["check"]["name"] = name
+            path = write_config(tmp_path, cfg, f"{label}.json")
+            out = tmp_path / label
+            assert main(["check", "comparison", "--config", path, "--out", str(out)]) == 0
+            report = json.loads((out / "report_comparison.json").read_text())
+            assert report.pop("config_hash") == config_hash(cfg)
+            outputs.append((capsys.readouterr().out, report))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     @pytest.mark.parametrize("name", ["variance", "lipschitz", "continuity"])
     def test_remaining_check_dispatch(self, tmp_path, name):
         cfg = self.check_config()
@@ -333,11 +349,18 @@ def _set(block, key, value):
     (["simulate"], lambda cfg: cfg["run"].update(mode="penalized", eps=math.inf), "run.eps"),
     (["check", "comparison"], _set("check", "eps_big", math.inf), "check.eps_big"),
     (["check", "gradient"], _set("check", "t", math.inf), "check.t"),
+    (["check", "variance"], _set("check", "functional", {**FUNCTIONAL, "hi": math.inf}),
+     "check.functional.hi"),
+    (["simulate"], _set("model", "params", {"b_amp": math.inf}), "model.params.b_amp"),
+    (["check", "gradient"],
+     _set("check", "functional", {**FUNCTIONAL, "direction_modes": [1.0, math.nan]}),
+     "check.functional.direction_modes[1]"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
         "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry",
-        "run-eps-infinity", "eps-big-infinity", "t-infinity"])
+        "run-eps-infinity", "eps-big-infinity", "t-infinity", "functional-hi-infinity",
+        "model-param-infinity", "direction-modes-nan"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:

@@ -339,8 +339,13 @@ class TestBoundProfileInvariants:
         vals = [profile.M / (1.21 * profile.int_exp_neg_zeta(t)) for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_integral_cache_consistency(self):
+    def test_integrals_equal_direct_quadrature(self):
+        # a profile keeps no integral between calls: each call is one
+        # adaptive_simpson run, bit for bit, however often it is asked
         profile = BoundProfile(1.0, 1.0)
-        a = profile.int_exp_neg_zeta(0.5)
-        b = profile.int_exp_neg_zeta(0.5)
-        assert a == b
+        for t in (0.05, 0.5, 2.0):
+            neg = adaptive_simpson(lambda s: math.exp(-zeta(s, 1.0, 1.0)), 0.0, t)
+            pos = adaptive_simpson(lambda s: math.exp(zeta(s, 1.0, 1.0)), 0.0, t)
+            for _ in range(3):
+                assert profile.int_exp_neg_zeta(t) == neg
+                assert profile.int_exp_zeta(t) == pos

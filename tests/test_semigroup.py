@@ -290,7 +290,7 @@ class TestEstimatePt:
         model = constant_model(0.0, 0.02, kappa1=0.01, kappa2=0.03)
         h = np.maximum(0.5 * spectral_basis(31).modes[0], 0.0)
         n_paths = 1000
-        ledger = ReflectionLedger.empty(grid.dx, (grid.n_space, n_paths))
+        ledger = ReflectionLedger.empty((grid.n_space, n_paths))
         U = np.broadcast_to(h[:, None], (grid.n_space, n_paths)).copy()
         plan = NoisePlan(12)
         from rspde.grid_noise import increments_matrix
@@ -366,6 +366,26 @@ def test_single_path_rejected(small, estimator, t):
     phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
     with pytest.raises(ValueError, match="n_paths"):
         estimator(phi, h, t, "reflected", model, grid, 1, seed=1)
+
+
+@pytest.mark.parametrize("estimator", [estimate_Pt, estimate_Pt_log, estimate_Pt_grad_sq,
+                                       estimate_variance, estimate_grad_Pt])
+@pytest.mark.parametrize("t", [0.0, 0.05])
+@pytest.mark.parametrize("rule", ["negative-field", "unknown-mode", "penalized-without-eps"])
+def test_run_rules_hold_at_every_t(small, estimator, t, rule):
+    # the rules hold for h itself, before the t = 0 shortcut and not only
+    # through the cone projections h +/- delta k of the gradient proxy
+    grid, model, e1, h = small
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    dented = h.copy()
+    dented[0] = -1e-6
+    field, mode, match = {
+        "negative-field": (dented, "reflected", "initial field must be entrywise >= 0"),
+        "unknown-mode": (h, "bogus", "unknown mode"),
+        "penalized-without-eps": (h, "penalized", "penalized mode needs eps > 0"),
+    }[rule]
+    with pytest.raises(ValueError, match=match):
+        estimator(phi, field, t, mode, model, grid, 16, seed=1)
 
 
 class TestEstimateLogAndVariance:

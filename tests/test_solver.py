@@ -158,7 +158,7 @@ class TestStepReflected:
         u_pre = (1 + 2 * r) * v_target - r * (
             np.concatenate(([0.0], v_target[:-1])) + np.concatenate((v_target[1:], [0.0]))
         )
-        ledger = ReflectionLedger.empty(grid.dx, (3,), record_full=True)
+        ledger = ReflectionLedger.empty((3,), record_full=True)
         out = _project(_drift_noise_solve(u_pre, np.zeros(3), model, grid), grid, ledger)
         assert out == pytest.approx([0.0, 0.3, 0.0], abs=1e-12)
         assert out[0] == 0.0 and out[2] == 0.0

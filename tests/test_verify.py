@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rspde import semigroup
 from rspde.coefficients import BoundProfile, constant_model, standard_model, zeta
 from rspde.grid_noise import NoisePlan, increments_matrix, make_grid
 from rspde.heat import spectral_basis
@@ -27,6 +28,10 @@ from rspde.verify import (
     check_log_harnack,
     check_variance_bound,
 )
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("an ensemble ran before the input rules")
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +134,11 @@ class TestLogHarnackCheck:
         oracle = profile.M * dist2 / (model.kappa1**2 * integral)
         assert report.inputs["additive_term"] == pytest.approx(oracle, rel=1e-6)
 
-    def test_requires_strictly_positive(self, lab):
+    def test_requires_strictly_positive(self, lab, monkeypatch):
         grid, model, e1, h, _ = lab
+        monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
         phi = clipped_affine(e1, grid.dx, lo=0.0, hi=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly positive"):
             check_log_harnack(phi, h, h, 0.25, "reflected", model, grid, 16, seed=1)
 
     def test_jensen_for_every_positive_catalogue_kind(self, lab):
@@ -319,3 +325,67 @@ class TestEpsExperiments:
             check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1)
         for exc in (mono, conv):
             assert (exc.value.step, exc.value.stream) == (0, 0)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    grid = make_grid(15, 0.01, 0.1)
+    e1 = spectral_basis(15).modes[0]
+    return grid, standard_model(), e1, np.maximum(1.5 * e1, 0.0)
+
+
+SEVEN_CHECKS = {
+    "gradient": lambda grid, model, e1, h: check_gradient_estimate(
+        clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0), h, 0.1, "reflected",
+        model, grid, 8, seed=1),
+    "log-harnack": lambda grid, model, e1, h: check_log_harnack(
+        exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0), h, np.zeros(grid.n_space), 0.1,
+        "reflected", model, grid, 8, seed=1),
+    "variance": lambda grid, model, e1, h: check_variance_bound(
+        clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0), h, 0.1, "reflected",
+        model, grid, 8, seed=1),
+    "lipschitz": lambda grid, model, e1, h: check_lipschitz_Pt(
+        clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0), h, 0.1, "reflected",
+        model, grid, 8, seed=1),
+    "continuity": lambda grid, model, e1, h: check_initial_continuity(
+        h, 0.5 * h, 2.0, "reflected", model, grid, 8, seed=1),
+    "comparison": lambda grid, model, e1, h: check_eps_monotonicity(
+        h, model, grid, 1e-2, 1e-3, 4, seed=1),
+    "eps-convergence": lambda grid, model, e1, h: check_eps_convergence(
+        h, model, grid, [1e-2, 1e-3], 4, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVEN_CHECKS))
+def test_report_json_keys_and_verdict(tiny, name):
+    # the written report: every field by name, with verdict in place of passed
+    report = SEVEN_CHECKS[name](*tiny)
+    assert report.check == name
+    for passed in (report.passed, not report.passed):
+        report.passed = passed
+        blob = report.to_json()
+        assert blob == {
+            "check": report.check, "verdict": "PASS" if passed else "FAIL", "lhs": report.lhs,
+            "rhs": report.rhs, "std_errors": report.std_errors,
+            "margin_ratio": report.margin_ratio, "inputs": report.inputs, "seed": report.seed,
+            "config_hash": report.config_hash, "notes": report.notes,
+        }
+        assert blob["verdict"] == report.verdict
+
+
+BOUND_CHECKS = [
+    (check_gradient_estimate, 1),
+    (check_log_harnack, 2),
+    (check_variance_bound, 1),
+    (check_lipschitz_Pt, 1),
+]
+
+
+@pytest.mark.parametrize("t", [0.0, -0.1])
+@pytest.mark.parametrize("check, n_fields", BOUND_CHECKS, ids=lambda v: getattr(v, "__name__", v))
+def test_bound_check_rejects_t_before_any_run(tiny, monkeypatch, check, n_fields, t):
+    grid, model, e1, h = tiny
+    monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    with pytest.raises(ValueError, match="t must be > 0"):
+        check(phi, *[h] * n_fields, t, "reflected", model, grid, 8, seed=1)
