@@ -175,12 +175,33 @@ def model_from_config(name: str, params: dict | None = None) -> CoefficientModel
 # explicit constants and bound functions
 # ---------------------------------------------------------------------------
 
+def _square(name: str, value: float, power: int = 2, divisor: bool = False) -> float:
+    """value^2, after checking that value^power (2 or 4) is finite, and nonzero if a divisor.
+
+    A power that overflows, or underflows to 0 under a division, would turn
+    M or zeta into inf or nan.
+    """
+    sq = value * value
+    p = sq if power == 2 else sq * sq
+    if not math.isfinite(p) or (divisor and p == 0.0):
+        raise ValueError(f"{name} must be in range: {name}^{power} = {p!r} at {name} = {value!r}")
+    return sq
+
+
+def _finite_result(what: str, value: float, L_b: float, L_sigma: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"L_b and L_sigma must be in range: {what} = {value!r} "
+                         f"at L_b = {L_b!r}, L_sigma = {L_sigma!r}")
+    return value
+
+
 def constant_M(L_b: float, L_sigma: float) -> float:
     """Smoothing constant max{3, 9Ls^2/sqrt(pi), 8Lb^2/Ls^4, 144Lb^2/(Ls^2 sqrt(pi)), 864Lb^2/sqrt(pi)}.
 
     Undefined for L_sigma = 0 (two terms divide by powers of L_sigma); that
     degenerate case raises instead of guessing a constant.  Both constants
-    must be finite.
+    must be finite, and so must M and the powers of the constants it
+    takes; L_sigma^4, a divisor, must also not underflow to 0.
     """
     if not 0.0 <= L_b < math.inf:
         raise ValueError(f"L_b must be finite and >= 0, got {L_b}")
@@ -190,29 +211,33 @@ def constant_M(L_b: float, L_sigma: float) -> float:
         raise DegenerateDiffusionError(
             "constant_M needs L_sigma > 0; constant-diffusion models fall outside the bound formulas"
         )
-    lb2 = L_b * L_b
-    ls2 = L_sigma * L_sigma
-    return max(
+    lb2 = _square("L_b", L_b)
+    ls2 = _square("L_sigma", L_sigma, 4, divisor=True)
+    return _finite_result("M", max(
         3.0,
         9.0 * ls2 / _SQRT_PI,
         8.0 * lb2 / (ls2 * ls2),
         144.0 * lb2 / (ls2 * _SQRT_PI),
         864.0 * lb2 / _SQRT_PI,
-    )
+    ), L_b, L_sigma)
 
 
 def zeta(t: float, L_b: float, L_sigma: float) -> float:
-    """Growth exponent t^(1/2) + (9Ls^4/4) t + (3Lb^2/2) t^2 + (18Lb^2Ls^2/(5 sqrt(pi))) t^(5/2)."""
+    """Growth exponent t^(1/2) + (9Ls^4/4) t + (3Lb^2/2) t^2 + (18Lb^2Ls^2/(5 sqrt(pi))) t^(5/2).
+
+    Raises a ValueError naming L_b or L_sigma when a power of it, or the
+    result, is not finite.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    lb2 = L_b * L_b
-    ls2 = L_sigma * L_sigma
-    return (
+    lb2 = _square("L_b", L_b)
+    ls2 = _square("L_sigma", L_sigma, 4)
+    return _finite_result(f"zeta({t!r})", (
         math.sqrt(t)
         + 2.25 * ls2 * ls2 * t
         + 1.5 * lb2 * t * t
         + (18.0 * lb2 * ls2 / (5.0 * _SQRT_PI)) * t * t * math.sqrt(t)
-    )
+    ), L_b, L_sigma)
 
 
 def adaptive_simpson(f, a: float, b: float, rel_tol: float = 1e-8) -> float:

@@ -6,13 +6,14 @@ independent of evaluation order, batching, or thread scheduling.  The exact
 counter-to-Gaussian mapping (Philox4x64-10 + Box-Muller) is frozen in
 docs/noise.md so that other implementations can reproduce the streams
 bit for bit.  The raw words come from numpy's compiled Philox, one
-generator per thread whose counter, key and buffer position are written
-into its C state for each (seed, stream, step).
+generator per process under one lock, whose counter, key and buffer
+position are written into its C state for each (seed, stream, step).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -145,7 +146,7 @@ def with_stream(plan: NoisePlan, stream_id: int) -> NoisePlan:
 
 
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53
-_PER_THREAD = threading.local()  # one Philox and views of its C state per thread
+_PHILOX_LOCK = threading.Lock()  # held over a call's whole stream loop: see docs/noise.md
 
 
 class _PhiloxState(ctypes.Structure):
@@ -161,46 +162,46 @@ class _PhiloxState(ctypes.Structure):
                 ("buffer_pos", ctypes.c_int)]
 
 
-def _thread_philox():
-    """The calling thread's Philox, its C state, and its counter and key words.
+@functools.cache
+def _philox():
+    """The process's Philox ``random_raw``, C state, counter and key words; call under the lock.
 
-    The tuple holds the generator, which keeps the memory behind the views
-    alive; numpy sets the counter and key pointers once, at construction.
+    The bound method holds the generator, which keeps the memory behind the
+    views alive; numpy sets the counter and key pointers once, at construction.
     """
-    if not hasattr(_PER_THREAD, "philox"):
-        gen = np.random.Philox(counter=[1, 2, 3, 4], key=[5, 6])
-        state = _PhiloxState.from_address(gen.ctypes.state_address)
-        ctr, key = state.ctr.contents, state.key.contents
-        if (list(ctr), list(key), state.buffer_pos) != ([1, 2, 3, 4], [5, 6], 4):
-            raise RuntimeError(f"numpy {np.__version__}: Philox C state layout differs "
-                               "from the one docs/noise.md describes")
-        _PER_THREAD.philox = (gen, state, ctr, key)
-    return _PER_THREAD.philox
+    gen = np.random.Philox(counter=[1, 2, 3, 4], key=[5, 6])
+    state = _PhiloxState.from_address(gen.ctypes.state_address)
+    ctr, key = state.ctr.contents, state.key.contents
+    if (list(ctr), list(key), state.buffer_pos) != ([1, 2, 3, 4], [5, 6], 4):
+        raise RuntimeError(f"numpy {np.__version__}: Philox C state layout differs "
+                           "from the one docs/noise.md describes")
+    return gen.random_raw, state, ctr, key
 
 
 def _philox_raw(master_seed: int, stream_ids, step: int, n_raw: int) -> np.ndarray:
     """Raw uint64 stream per (seed, stream, step), shape (n_raw, n_streams).
 
     Column s is numpy.random.Philox(counter=step << 128,
-    key=[master_seed, stream_ids[s]]).random_raw(n_raw): before each stream
-    the calling thread's compiled Philox4x64-10 gets counter [0, 0, step, 0],
-    key [master_seed, stream] and an empty buffer written into its C state,
-    so nothing carries over between streams or calls.
+    key=[master_seed, stream_ids[s]]).random_raw(n_raw): under the lock, the
+    process's compiled Philox4x64-10 gets counter [0, 0, step, 0], key
+    [master_seed, stream] and an empty buffer written into its C state, and
+    each stream draws whole four-word blocks, which leave the buffer empty.
     """
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    gen, state, ctr, key = _thread_philox()
-    ctr[:] = (0, 0, step % (1 << 64), 0)
-    key[0] = master_seed % (1 << 64)
-    random_raw = gen.random_raw
     streams = np.asarray(stream_ids, dtype=np.uint64).tolist()
-    out = np.empty((len(streams), n_raw), dtype=np.uint64)
-    for row, stream in enumerate(streams):
-        ctr[0] = 0  # random_raw advances only this word: ceil(n_raw / 4) blocks cannot wrap it
-        key[1] = stream
-        state.buffer_pos = 4  # empty buffer: the first block is at counter [1, 0, step, 0]
-        out[row] = random_raw(n_raw)
-    return out.T
+    n_words = -(-n_raw // 4) * 4
+    out = np.empty((len(streams), n_words), dtype=np.uint64)
+    with _PHILOX_LOCK:
+        random_raw, state, ctr, key = _philox()
+        ctr[:] = (0, 0, step % (1 << 64), 0)
+        key[0] = master_seed % (1 << 64)
+        state.buffer_pos = 4  # empty buffer: each stream's first block is at counter [1, 0, step, 0]
+        for row, stream in enumerate(streams):
+            ctr[0] = 0  # random_raw advances only this word: n_words / 4 blocks cannot wrap it
+            key[1] = stream
+            out[row] = random_raw(n_words)
+    return out[:, :n_raw].T
 
 
 def _gaussian_block(master_seed: int, stream_ids, step: int, n: int, scale: float) -> np.ndarray:
@@ -208,15 +209,14 @@ def _gaussian_block(master_seed: int, stream_ids, step: int, n: int, scale: floa
 
     Pair 2i, 2i+1 of raws maps to u1 = (r0 >> 11)*2^-53, u2 = (r1 >> 11)*2^-53,
     then z0 = sqrt(-2 log(1-u1)) cos(2 pi u2), z1 = the sin twin.  The
-    uniforms, radii and angles are computed in place in the raw block, and
+    radii and angles are computed in place in a new block of uniforms, and
     the scaled normals are written into the returned array; each value gets
     the same operations in the same order as the formulas above.
     """
     n_pairs = -(-n // 2)
     raw = _philox_raw(master_seed, stream_ids, step, 2 * n_pairs)
     raw >>= np.uint64(11)
-    u = raw.view(np.float64)
-    np.multiply(raw, _TWO53_INV, out=u)
+    u = np.multiply(raw, _TWO53_INV)
     u1, u2 = u[0::2], u[1::2]
     np.negative(u1, out=u1)
     np.log1p(u1, out=u1)

@@ -69,9 +69,9 @@ class ImplicitHeatSolver:
     dominant, so the Thomas sweep needs no pivoting.  ``solve`` accepts shape
     (n_space, ...) and returns float64 (integer input is cast first); each
     column is processed by the identical scalar recurrence, so results do
-    not depend on the batch width.  A batched sweep runs row by row with
-    ``out=`` ufuncs and one scratch row, so it allocates nothing of the
-    field's size beyond its result, and none at all with ``out``.
+    not depend on the batch width.  A batched sweep runs row by row, each
+    ufunc given its output positionally (cheaper than ``out=``), with one
+    scratch row, so it allocates only its result, and nothing with ``out``.
 
     The coefficients ``beta`` and ``gamma`` are lists of Python floats.  A
     1-D field runs the recurrence over Python floats: a numpy sweep pays
@@ -105,14 +105,14 @@ class ImplicitHeatSolver:
         vs, ws = list(v), list(w)  # row views, made once per solve
         # forward sweep y_i = (w_i + r y_{i-1}) / beta_i into v (w_i is read
         # before y_i is written, so out=w is safe), then v_i = y_i - gamma_i v_{i+1}
-        np.divide(ws[0], beta[0], out=vs[0])
+        np.divide(ws[0], beta[0], vs[0])
         for i in range(1, self.n_space):
-            np.multiply(r, vs[i - 1], out=tmp)
-            np.add(ws[i], tmp, out=tmp)
-            np.divide(tmp, beta[i], out=vs[i])
+            np.multiply(r, vs[i - 1], tmp)
+            np.add(ws[i], tmp, tmp)
+            np.divide(tmp, beta[i], vs[i])
         for i in range(self.n_space - 2, -1, -1):
-            np.multiply(gamma[i], vs[i + 1], out=tmp)
-            np.subtract(vs[i], tmp, out=vs[i])
+            np.multiply(gamma[i], vs[i + 1], tmp)
+            np.subtract(vs[i], tmp, vs[i])
         return v
 
     def _solve_column(self, w: np.ndarray, out: np.ndarray | None) -> np.ndarray:

@@ -100,7 +100,9 @@ def _bound_profile(t, model: CoefficientModel) -> BoundProfile:
     """The bound checks' prologue, run before any ensemble: t > 0, then M and zeta."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    return BoundProfile(model.L_b, model.L_sigma)
+    profile = BoundProfile(model.L_b, model.L_sigma)
+    profile.zeta(t)  # zeta grows with t, so every zeta(s <= t) the check takes is finite
+    return profile
 
 
 def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from rspde import semigroup
 from rspde.cli import _write_csv, cmd_bounds, main
 from rspde.config import (
     ConfigError,
@@ -370,6 +371,25 @@ def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     assert f"config error: {field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["gradient", "variance", "lipschitz", "log-harnack"])
+def test_out_of_range_constant_exit_1_before_any_ensemble(tmp_path, capsys, monkeypatch, recwarn,
+                                                          name):
+    # b_amp = 1e160 is finite, so the config is valid, but L_b^2 overflows:
+    # the check used to give a verdict on a nan bound or fail in the quadrature
+    cfg = small_check_config()
+    cfg["model"]["params"] = {"b_amp": 1e160}
+    cfg["check"] = {"name": name, "t": 0.1, "h_modes": [0.5], "h1_modes": [0.5],
+                    "h2_modes": [0.4], "functional": {**FUNCTIONAL, "lo": 0.1}}
+    passes = []
+    monkeypatch.setattr(semigroup, "run_ensemble", lambda *a, **k: passes.append(a))
+    path = write_config(tmp_path, cfg)
+    assert main(["check", name, "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and passes == []
+    assert "L_b must be in range: L_b^2 = inf" in captured.err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def csv_writer_bytes(header, rows, first_line=""):
     """The reference bytes: csv.writer on %.17g strings."""
     buf = io.StringIO(newline="")
@@ -473,8 +493,12 @@ class TestBoundsCommand:
         ("--kappa1", "inf", "kappa1"),
         ("--t", "nan", "t"),
         ("--t", "inf", "t"),
+        ("--L-b", "1e160", "L_b"),
+        ("--L-sigma", "1e100", "L_sigma"),
+        ("--L-sigma", "1e-100", "L_sigma"),
     ], ids=["L_b-negative", "kappa1-zero", "kappa1-negative",
-            "L_b-inf", "L_sigma-nan", "L_sigma-inf", "kappa1-inf", "t-nan", "t-inf"])
+            "L_b-inf", "L_sigma-nan", "L_sigma-inf", "kappa1-inf", "t-nan", "t-inf",
+            "L_b-square-overflows", "L_sigma-fourth-overflows", "L_sigma-fourth-underflows"])
     def test_bad_constant_exit_1_names_field(self, capsys, flag, value, field):
         # a nan or inf constant used to spin in the quadrature or print a 0 row
         args = {"--L-b": "1", "--L-sigma": "1", "--kappa1": "1.1", "--t": "0.25", flag: value}

@@ -214,6 +214,40 @@ class TestNonFiniteInput:
             adaptive_simpson(counted(lambda s: math.nan), 0.0, 1.0)
 
 
+class TestOutOfRangeConstants:
+    """A finite constant whose powers, or whose M or zeta, overflow or
+    underflow raises a ValueError naming it, with no numpy warning."""
+
+    @pytest.mark.parametrize("L_b, L_sigma, match", [
+        (1e160, 1.0, r"L_b must be in range: L_b\^2 = inf"),
+        (1.0, 1e100, r"L_sigma must be in range: L_sigma\^4 = inf"),
+    ], ids=["L_b-square-inf", "L_sigma-fourth-inf"])
+    def test_power_overflows(self, L_b, L_sigma, match):
+        with pytest.raises(ValueError, match=match):
+            constant_M(L_b, L_sigma)
+        with pytest.raises(ValueError, match=match):
+            zeta(0.25, L_b, L_sigma)
+
+    def test_divisor_underflows(self):
+        # L_sigma^4 divides in M, so its underflow to 0 raises there; zeta
+        # only multiplies by the powers, and tiny constants stay legal in it
+        with pytest.raises(ValueError, match=r"L_sigma must be in range: L_sigma\^4 = 0.0"):
+            constant_M(1.0, 1e-100)
+        assert constant_M(1e-170, 1.0) == 9.0 / SQRT_PI and zeta(0.25, 1e-170, 1e-100) == 0.5
+
+    def test_M_inf(self):
+        # every power is in range, but 8 L_b^2 / L_sigma^4 overflows
+        assert math.isfinite(zeta(0.25, 1e100, 1e-60))
+        with pytest.raises(ValueError, match=r"L_b and L_sigma must be in range: M = inf"):
+            constant_M(1e100, 1e-60)
+
+    def test_zeta_inf(self):
+        # M is finite, but (3 L_b^2 / 2) t^2 overflows at a large t
+        assert constant_M(1e150, 1.0) == pytest.approx(864e300 / SQRT_PI, rel=1e-12)
+        with pytest.raises(ValueError, match=r"L_b and L_sigma must be in range: zeta\(1e\+20\) = inf"):
+            zeta(1e20, 1e150, 1.0)
+
+
 class TestCatalogue:
     def test_standard_model_constants(self):
         m = standard_model()

@@ -262,11 +262,12 @@ class TestNoiseThreads:
             assert got.tobytes() == serial[t].tobytes()
 
     def test_reset_after_partial_block(self):
-        # an odd n_raw leaves the thread's generator mid-block (buffer
-        # position 1, counter word 0 at 2); every later stream must still
-        # start from an empty buffer at counter [1, 0, step, 0]
+        # an n_raw that is not a multiple of four, odd or even, takes words
+        # from a part of a block; every later stream must still start from
+        # an empty buffer at counter [1, 0, step, 0]
         calls = [(5, 7, 3, [0, 2**64 - 1]), (64, 9, 0, [2**64 - 1]),
-                 (3, 2**64 - 1, 2**40, [2**64 - 1, 1]), (64, 9, 1, [5, 2**64 - 1, 0])]
+                 (3, 2**64 - 1, 2**40, [2**64 - 1, 1]), (64, 9, 1, [5, 2**64 - 1, 0]),
+                 (62, 4, 2, [1, 2**64 - 1]), (64, 4, 2, [1, 2**64 - 1])]
         got = []
 
         def run():
@@ -284,6 +285,52 @@ class TestNoiseThreads:
                 oracle = np.random.Philox(counter=step << 128,
                                           key=seed + (stream << 64)).random_raw(n_raw)
                 assert np.array_equal(words[:, col], oracle)
+
+    def test_held_lock_blocks_a_call_until_released(self):
+        # the generator is shared: a call waits for the lock, then gives
+        # the bytes of a serial call
+        grid = make_grid(63, 1e-3, 0.01)
+        plan, streams = NoisePlan(2**64 - 1), [0, 5, 2**64 - 1]
+        serial = increments_matrix(plan, grid, 7, streams)
+        got = []
+        th = threading.Thread(target=lambda: got.append(increments_matrix(plan, grid, 7, streams)))
+        with grid_noise._PHILOX_LOCK:
+            th.start()
+            th.join(timeout=0.2)
+            blocked = th.is_alive() and got == []
+        th.join(timeout=60)
+        assert blocked
+        assert not th.is_alive()
+        assert got[0].tobytes() == serial.tobytes()
+
+    def test_threads_share_one_generator(self):
+        # three threads that start together build exactly one generator
+        grid = make_grid(15, 1e-2, 0.1)
+        grid_noise._philox.cache_clear()
+        barrier = threading.Barrier(3, timeout=60)
+        results = {}
+
+        def worker(k):
+            barrier.wait()
+            results[k] = [increments_matrix(NoisePlan(k), grid, step, [k, 9]) for step in range(5)]
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(3)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(th.is_alive() for th in threads)
+        info = grid_noise._philox.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        for k in range(3):
+            for step in range(5):
+                serial = increments_matrix(NoisePlan(k), grid, step, [k, 9])
+                assert results[k][step].tobytes() == serial.tobytes()
 
     def test_call_after_other_seed_equals_fresh_thread(self):
         grid = make_grid(15, 1e-2, 0.1)
