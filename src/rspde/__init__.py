@@ -25,7 +25,6 @@ from .grid_noise import (
     make_grid,
     sample_increments,
     sup_norm,
-    with_stream,
 )
 from .heat import heat_apply, implicit_step
 from .semigroup import (

@@ -19,7 +19,7 @@ import numpy as np
 from . import config as cfgmod
 from .coefficients import BoundProfile, harnack_rhs
 from .config import ConfigError
-from .grid_noise import NoisePlan, with_stream
+from .grid_noise import NoisePlan
 from .semigroup import functional_from_config
 from .solver import solve_path
 from .verify import (
@@ -87,10 +87,8 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "files": [],
     }
-    plan = NoisePlan(seed)
     for stream in range(run["n_paths"]):
-        traj = solve_path(h, mode, model, grid, with_stream(plan, stream),
-                          save_at=save_at, eps=eps)
+        traj = solve_path(h, mode, model, grid, NoisePlan(seed, stream), save_at=save_at, eps=eps)
         base = f"trajectory_{stream:03d}"
         if fmt in ("csv", "both"):
             columns = {"t": np.repeat(traj.times, grid.n_space),

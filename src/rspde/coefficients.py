@@ -295,13 +295,21 @@ class BoundProfile:
     def zeta(self, t: float) -> float:
         return zeta(t, self.L_b, self.L_sigma)
 
+    def exp_zeta(self, t: float) -> float:
+        """exp(zeta(t)); a ValueError naming L_b and L_sigma when it overflows."""
+        try:
+            return math.exp(self.zeta(t))
+        except OverflowError:
+            return _finite_result(f"e^zeta({t!r})", math.inf, self.L_b, self.L_sigma)
+
     def int_exp_neg_zeta(self, t: float) -> float:
         """integral_0^t exp(-zeta(s)) ds, adaptive quadrature to 1e-8 relative."""
         return adaptive_simpson(lambda s: math.exp(-self.zeta(s)), 0.0, t)
 
     def int_exp_zeta(self, t: float) -> float:
-        """integral_0^t exp(+zeta(s)) ds."""
-        return adaptive_simpson(lambda s: math.exp(self.zeta(s)), 0.0, t)
+        """integral_0^t exp(+zeta(s)) ds; the largest integrand, exp(zeta(t)), is taken first."""
+        self.exp_zeta(t)
+        return adaptive_simpson(self.exp_zeta, 0.0, t)
 
 
 def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) -> float:

@@ -16,7 +16,7 @@ import ctypes
 import functools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "SpaceTimeGrid",
     "NoisePlan",
     "make_grid",
-    "with_stream",
     "sample_increments",
     "increments_matrix",
     "l2_norm",
@@ -129,20 +128,10 @@ def sine_profile(grid: SpaceTimeGrid, coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Keys one reproducible noise stream.
-
-    ``counter`` is a base step offset added to the per-call step index, so a
-    run can be resumed mid-trajectory without replaying earlier steps.
-    """
+    """Keys one reproducible noise stream."""
 
     master_seed: int
     stream_id: int = 0
-    counter: int = 0
-
-
-def with_stream(plan: NoisePlan, stream_id: int) -> NoisePlan:
-    """Same master seed, different trajectory stream."""
-    return replace(plan, stream_id=stream_id)
 
 
 _TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53
@@ -246,10 +235,10 @@ def sample_increments(plan: NoisePlan, grid: SpaceTimeGrid, step: int) -> np.nda
 def increments_matrix(plan: NoisePlan, grid: SpaceTimeGrid, step: int, stream_ids) -> np.ndarray:
     """Increments for many streams at one step, shape (n_space, n_streams).
 
-    Column s equals sample_increments(with_stream(plan, stream_ids[s]), ...)
+    Column s equals sample_increments(NoisePlan(plan.master_seed, stream_ids[s]), ...)
     bitwise; batching exists only for speed.
     """
     if step >= grid.n_steps:
         raise ValueError(f"step {step} out of range (n_steps={grid.n_steps})")
-    return _gaussian_block(plan.master_seed, stream_ids, plan.counter + step, grid.n_space,
+    return _gaussian_block(plan.master_seed, stream_ids, step, grid.n_space,
                            math.sqrt(grid.dt * grid.dx))

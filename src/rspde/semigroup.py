@@ -25,7 +25,7 @@ import numpy as np
 from .coefficients import CoefficientModel
 from .grid_noise import NoisePlan, SpaceTimeGrid, increments_matrix, l2_norm, sine_profile
 from .heat import spectral_basis
-from .solver import _check_finite, _check_run, _drift_noise_solve, _project, penalty_resolvent
+from .solver import _check_run, _lockstep, _project, penalty_resolvent
 
 __all__ = [
     "Functional",
@@ -236,31 +236,26 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
 
     plan = NoisePlan(seed)
     q = grid.dt / eps if mode == "penalized" else 0.0
+    stage = ((lambda v: penalty_resolvent(v, q, model.penalty_kind)) if mode == "penalized"
+             else (lambda v: _project(v, grid)))
 
     out = np.empty((V, n, n_paths))
     sup_out = np.zeros((len(pairs), n_paths))
 
     def do_chunk(lo: int, hi: int):
         streams = np.arange(lo, hi) + stream_offset
-        U = np.broadcast_to(H.T[:, :, None], (n, V, hi - lo)).copy()
+        U = [np.broadcast_to(H.T[:, :, None], (n, V, hi - lo)).copy()]
         sup = sup_out[:, lo:hi]
 
         def track_sup(U):
             for p, (i, j) in enumerate(pairs):
                 np.maximum(sup[p], np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0), out=sup[p])
 
-        track_sup(U)
-        for m in range(n_run_steps):
-            dW = increments_matrix(plan, grid, m, streams)
-            Vmid = _drift_noise_solve(U, dW[:, None, :], model, grid)
-            if mode == "penalized":
-                U_new = penalty_resolvent(Vmid, q, model.penalty_kind)
-            else:
-                U_new = _project(Vmid, grid)
-            _check_finite(U_new, U, m, streams)
-            U = U_new
-            track_sup(U)
-        out[:, :, lo:hi] = U.transpose(1, 0, 2)
+        track_sup(U[0])
+        for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
+                           n_run_steps, model, grid, streams):
+            track_sup(U[0])
+        out[:, :, lo:hi] = U[0].transpose(1, 0, 2)
 
     ranges = _chunk_ranges(n_paths)
     workers = min(_n_threads(), len(ranges))

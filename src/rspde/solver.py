@@ -1,10 +1,12 @@
 """Time integrators: penalized, reflected (with reflection ledger), tangent.
 
-All three share the same splitting per step: explicit drift + noise, implicit
-half-Laplacian solve (``_drift_noise_solve``), then a nodewise nonlinear
-stage (``penalty_resolvent`` or the projection ``_project``), and a finite
-check (``_check_finite``).  The ensemble loops in ``semigroup`` and ``verify``
-run the same stages on fields of shape (n_space, ..., n_paths).
+Every run steps through ``_lockstep``: per step one shared noise block, then
+for each field drift + noise and the implicit half-Laplacian solve
+(``_drift_noise_solve``), a nodewise nonlinear stage (``penalty_resolvent``
+or the projection ``_project``) and a finite check (``_check_finite``).
+Besides ``solve_path`` and ``solve_tangent``, ``semigroup``'s ensemble
+chunks and ``verify``'s eps experiments use it on fields of shape
+(n_space, ..., n_paths), with noise and stages of their own.
 
 The drift + noise stage, the solve and the projection act per column, so
 reflected and ``negative_part`` penalized runs match single-path runs
@@ -206,6 +208,24 @@ def _check_finite(u, u_prev, step, streams):
     raise BlowUpError(step, int(streams[k]), float(np.max(np.abs(last))))
 
 
+def _lockstep(fields, stages, noise, n_steps, model, grid, streams):
+    """The splitting stepper: advance the list ``fields`` in place n_steps steps.
+
+    Step m draws one noise block ``noise(m)`` that every field shares; field
+    i then takes drift + noise and the implicit solve, its stage
+    ``stages[i]`` and the finite check against its previous value, whose
+    last axis runs over ``streams``.  Yields (m + 1, noise block) after
+    each step.
+    """
+    for m in range(n_steps):
+        dW = noise(m)
+        for i, stage in enumerate(stages):
+            u = stage(_drift_noise_solve(fields[i], dW, model, grid))
+            _check_finite(u, fields[i], m, streams)
+            fields[i] = u
+        yield m + 1, dW
+
+
 # ---------------------------------------------------------------------------
 # full paths
 # ---------------------------------------------------------------------------
@@ -239,30 +259,22 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     if h.shape != (grid.n_space,):
         raise ValueError(f"h has shape {h.shape}, expected ({grid.n_space},)")
     _check_run(h, mode, eps)
-    ledger = None
-    if mode == "reflected":
-        ledger = ReflectionLedger.empty(h.shape, record_full_ledger)
+    ledger = ReflectionLedger.empty(h.shape, record_full_ledger) if mode == "reflected" else None
+    stage = ((lambda v: _project(v, grid, ledger)) if ledger is not None
+             else (lambda v: penalty_resolvent(v, grid.dt / eps, model.penalty_kind)))
 
     save_steps = _resolve_save_steps(grid, save_at)
-    snapshots = {}
-    u = h.copy()
-    if 0 in save_steps:
-        snapshots[0] = u.copy()
-    for m in range(grid.n_steps):
-        v = _drift_noise_solve(u, sample_increments(plan, grid, m), model, grid)
-        if mode == "penalized":
-            u_new = penalty_resolvent(v, grid.dt / eps, model.penalty_kind)
-        else:
-            u_new = _project(v, grid, ledger)
-        _check_finite(u_new, u, m, [plan.stream_id])
-        u = u_new
-        if m + 1 in save_steps:
-            snapshots[m + 1] = u.copy()
+    u = [h.copy()]
+    snapshots = {0: h.copy()} if 0 in save_steps else {}
+    for m, _ in _lockstep(u, [stage], lambda m: sample_increments(plan, grid, m),
+                          grid.n_steps, model, grid, [plan.stream_id]):
+        if m in save_steps:
+            snapshots[m] = u[0].copy()
 
     times = np.array([s * grid.dt for s in save_steps])
     fields = np.stack([snapshots[s] for s in save_steps])
     meta = {"mode": mode, "eps": eps, "master_seed": plan.master_seed,
-            "stream_id": plan.stream_id, "counter": plan.counter}
+            "stream_id": plan.stream_id}
     return Trajectory(times=times, fields=fields, initial=h.copy(), ledger=ledger, meta=meta)
 
 
@@ -271,11 +283,12 @@ def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
     """Integrate the derivative flow along the stored penalized path.
 
     eps and the noise plan come from ``u_path.meta``.  The base path is
-    regenerated from (initial, plan) step by step -- by determinism this
-    reproduces u_path exactly -- while the linearized update runs in
-    lockstep with the same noise increments.  The result is the exact
-    derivative of the discrete one-step map, with the penalty stage
-    differentiated through the resolvent.
+    regenerated from (initial, plan) through the stepper -- by determinism
+    this reproduces u_path exactly -- and after each step the linearized
+    update takes the same noise block and the base field before and after
+    it.  The result is the exact derivative of the discrete one-step map,
+    with the penalty stage differentiated through the resolvent.  A
+    non-finite base or tangent field raises BlowUpError.
     """
     if not model.differentiable:
         raise UnsupportedModelError(
@@ -284,25 +297,23 @@ def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
     meta = u_path.meta
     if meta.get("mode") != "penalized":
         raise ValueError("tangent flow is defined along penalized paths")
-    plan = NoisePlan(meta["master_seed"], meta["stream_id"], meta["counter"])
+    plan = NoisePlan(meta["master_seed"], meta["stream_id"])
     k = np.asarray(k, dtype=float)
     solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     q = grid.dt / meta["eps"]
     save_steps = [grid.step_of(t) for t in u_path.times]
-    snapshots = {}
-    u = u_path.initial.copy()
-    v = k.copy()
-    if 0 in save_steps:
-        snapshots[0] = v.copy()
-    for m in range(grid.n_steps):
-        dW = sample_increments(plan, grid, m)
-        w_v = v + grid.dt * model.db(u) * v + model.dsigma(u) * v * (dW / grid.dx)
-        u = penalty_resolvent(_drift_noise_solve(u, dW, model, grid), q, model.penalty_kind)
-        v_new = solver.solve(w_v) * penalty_resolvent_deriv(u, q, model.penalty_kind)
-        _check_finite(v_new, v, m, [plan.stream_id])
-        v = v_new
-        if m + 1 in save_steps:
-            snapshots[m + 1] = v.copy()
+    snapshots = {0: k.copy()} if 0 in save_steps else {}
+    u = [u_path.initial.copy()]
+    u_prev, v = u[0], k.copy()
+    for m, dW in _lockstep(u, [lambda w: penalty_resolvent(w, q, model.penalty_kind)],
+                           lambda m: sample_increments(plan, grid, m), grid.n_steps,
+                           model, grid, [plan.stream_id]):
+        w_v = v + grid.dt * model.db(u_prev) * v + model.dsigma(u_prev) * v * (dW / grid.dx)
+        v_new = solver.solve(w_v) * penalty_resolvent_deriv(u[0], q, model.penalty_kind)
+        _check_finite(v_new, v, m - 1, [plan.stream_id])
+        u_prev, v = u[0], v_new
+        if m in save_steps:
+            snapshots[m] = v.copy()
     times = np.array([s * grid.dt for s in save_steps])
     fields = np.stack([snapshots[s] for s in save_steps])
     return Trajectory(times=times, fields=fields, initial=k.copy(), ledger=None,

@@ -28,13 +28,7 @@ from .semigroup import (
     estimate_variance,
     run_ensemble,
 )
-from .solver import (
-    ReflectionLedger,
-    _check_finite,
-    _drift_noise_solve,
-    _project,
-    penalty_resolvent,
-)
+from .solver import ReflectionLedger, _lockstep, _project, penalty_resolvent
 
 __all__ = [
     "CheckReport",
@@ -96,13 +90,18 @@ def _margin(lhs: float, rhs: float) -> float:
     return rhs / lhs
 
 
-def _bound_profile(t, model: CoefficientModel) -> BoundProfile:
-    """The bound checks' prologue, run before any ensemble: t > 0, then M and zeta."""
+def _bound_factor(check, t, model: CoefficientModel, m_scale, factor) -> float:
+    """The bound checks' prologue, run before any ensemble: t > 0, M and
+    zeta(t), then the check's bound factor(profile), which must be finite."""
     if t <= 0:
         raise ValueError("t must be > 0")
     profile = BoundProfile(model.L_b, model.L_sigma)
     profile.zeta(t)  # zeta grows with t, so every zeta(s <= t) the check takes is finite
-    return profile
+    value = factor(profile)
+    if not math.isfinite(value):
+        raise ValueError(f"the {check} bound factor is {value!r} at L_b = {model.L_b!r}, "
+                         f"L_sigma = {model.L_sigma!r}, m_scale = {m_scale!r}")
+    return value
 
 
 def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
@@ -137,11 +136,11 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     """
     if not phi.is_c1:
         raise ValueError("gradient estimate check needs a C1 catalogue functional")
-    profile = _bound_profile(t, model)
+    factor = _bound_factor("gradient", t, model, m_scale, lambda p: (
+        2.0 * m_scale * p.M * p.exp_zeta(t)))
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions, delta=delta)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    factor = 2.0 * m_scale * profile.M * math.exp(profile.zeta(t))
     return _gate(
         "gradient", grad.value ** 2, factor * pgs.mean,
         2.0 * grad.value * grad.std_error, factor * pgs.std_error, grid,
@@ -159,13 +158,13 @@ def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
 
     The log of the h2-side mean gets a delta-method standard error.
     """
-    profile = _bound_profile(t, model)
     h1 = np.asarray(h1, float)
     h2 = np.asarray(h2, float)
+    dist2 = float(l2_norm(h1 - h2, grid.dx)) ** 2
+    additive = _bound_factor("log-harnack", t, model, m_scale, lambda p: (
+        m_scale * harnack_rhs(t, dist2, p, model.kappa1) if dist2 > 0 else 0.0))
     left = estimate_Pt_log(phi, h1, t, mode, model, grid, n_paths, seed, eps=eps)
     right = estimate_Pt(phi, h2, t, mode, model, grid, n_paths, seed, eps=eps)
-    dist2 = float(l2_norm(h1 - h2, grid.dx)) ** 2
-    additive = m_scale * harnack_rhs(t, dist2, profile, model.kappa1) if dist2 > 0 else 0.0
     log_mean = math.log(right.mean)
     rhs = log_mean + additive
     return _gate(
@@ -182,12 +181,12 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
                          grid: SpaceTimeGrid, n_paths: int, seed: int, eps=None,
                          m_scale: float = 1.0) -> CheckReport:
     """Gate P_t Phi^2 - (P_t Phi)^2 <= 2 M k2^2 P_t |grad Phi|^2 int_0^t e^{zeta}."""
-    profile = _bound_profile(t, model)
+    factor = _bound_factor("variance", t, model, m_scale, lambda p: (
+        2.0 * m_scale * p.M * model.kappa2 ** 2 * p.int_exp_zeta(t)))
     if not phi.is_c1:
         raise ValueError("variance bound check needs a C1 catalogue functional")
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    factor = 2.0 * m_scale * profile.M * model.kappa2 ** 2 * profile.int_exp_zeta(t)
     return _gate(
         "variance", var.mean, factor * pgs.mean, var.std_error, factor * pgs.std_error, grid,
         {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale},
@@ -204,11 +203,11 @@ def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
     strong-Feller check: the finite-difference proxy stays finite at t > 0
     even when |grad Phi| is unbounded.
     """
-    profile = _bound_profile(t, model)
+    factor = _bound_factor("lipschitz", t, model, m_scale, lambda p: (
+        2.0 * m_scale * p.M / (model.kappa1 ** 2 * p.int_exp_neg_zeta(t))))
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions, delta=delta)
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    factor = 2.0 * m_scale * profile.M / (model.kappa1 ** 2 * profile.int_exp_neg_zeta(t))
     return _gate(
         "lipschitz", grad.value ** 2, factor * var.mean,
         2.0 * grad.value * grad.std_error, factor * var.std_error, grid,
@@ -282,22 +281,16 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
     h = np.asarray(h, float)
     plan = NoisePlan(seed)
     streams = np.arange(n_paths)
-    u_big = np.broadcast_to(h[:, None], (grid.n_space, n_paths)).copy()
-    u_small = u_big.copy()
-    q_big = grid.dt / eps_big
-    q_small = grid.dt / eps_small
-    running_scale = np.maximum(np.max(np.abs(u_big), axis=0), 1e-300)
+    u0 = np.broadcast_to(h[:, None], (grid.n_space, n_paths)).copy()
+    fields = [u0, u0]  # [u_big, u_small]; the stepper replaces each, never writes into it
+    stages = [lambda v, q=grid.dt / e: penalty_resolvent(v, q, model.penalty_kind)
+              for e in (eps_big, eps_small)]
+    running_scale = np.maximum(np.max(np.abs(u0), axis=0), 1e-300)
     violations = 0
     worst = 0.0
-    for m in range(grid.n_steps):
-        dW = increments_matrix(plan, grid, m, streams)
-        big = penalty_resolvent(_drift_noise_solve(u_big, dW, model, grid), q_big,
-                                model.penalty_kind)
-        small = penalty_resolvent(_drift_noise_solve(u_small, dW, model, grid), q_small,
-                                  model.penalty_kind)
-        _check_finite(big, u_big, m, streams)
-        _check_finite(small, u_small, m, streams)
-        u_big, u_small = big, small
+    for _ in _lockstep(fields, stages, lambda m: increments_matrix(plan, grid, m, streams),
+                       grid.n_steps, model, grid, streams):
+        u_big, u_small = fields
         running_scale = np.maximum(running_scale, np.max(np.abs(u_big), axis=0))
         running_scale = np.maximum(running_scale, np.max(np.abs(u_small), axis=0))
         gap = u_big - u_small - _allowance(grid, running_scale)
@@ -332,22 +325,25 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     plan = NoisePlan(seed)
     streams = np.arange(n_paths)
     n_eps = len(eps_ladder)
-    U = np.broadcast_to(h[:, None, None], (grid.n_space, n_eps + 1, n_paths)).copy()
+    U = [np.broadcast_to(h[:, None, None], (grid.n_space, n_eps + 1, n_paths)).copy()]
     qs = [grid.dt / e for e in eps_ladder]
     sup_dist = np.zeros((n_eps, n_paths))
     ledger = ReflectionLedger.empty((grid.n_space, n_paths))
     min_reflected = 0.0
-    for m in range(grid.n_steps):
-        dW = increments_matrix(plan, grid, m, streams)
-        U_new = _drift_noise_solve(U, dW[:, None, :], model, grid)
+
+    def stage(V):
+        """Each eps's resolvent on its slice; the last slice projected into the ledger."""
         for j, q in enumerate(qs):
-            U_new[:, j, :] = penalty_resolvent(U_new[:, j, :], q, model.penalty_kind)
-        u_ref = _project(U_new[:, n_eps, :], grid, ledger)
-        _check_finite(U_new, U, m, streams)
-        U = U_new
+            V[:, j, :] = penalty_resolvent(V[:, j, :], q, model.penalty_kind)
+        _project(V[:, n_eps, :], grid, ledger)
+        return V
+
+    for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
+                       grid.n_steps, model, grid, streams):
+        u_ref = U[0][:, n_eps, :]
         min_reflected = min(min_reflected, float(np.min(u_ref)))
         for j in range(n_eps):
-            np.maximum(sup_dist[j], np.max(np.abs(U[:, j, :] - u_ref), axis=0), out=sup_dist[j])
+            np.maximum(sup_dist[j], np.max(np.abs(U[0][:, j, :] - u_ref), axis=0), out=sup_dist[j])
     stats = [_mean_se(sup_dist[j]) for j in range(n_eps)]
     means = [mean for mean, _ in stats]
     decreasing = all(means[j + 1] < means[j] for j in range(n_eps - 1))

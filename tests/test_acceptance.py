@@ -16,7 +16,7 @@ import pytest
 from rspde.cli import main
 from rspde.coefficients import BoundProfile, constant_M, constant_model, harnack_rhs, standard_model, zeta
 from rspde.config import dumps_config
-from rspde.grid_noise import NoisePlan, l2_norm, make_grid, with_stream
+from rspde.grid_noise import NoisePlan, l2_norm, make_grid
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
     Directions,

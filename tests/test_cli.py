@@ -375,19 +375,42 @@ def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
 def test_out_of_range_constant_exit_1_before_any_ensemble(tmp_path, capsys, monkeypatch, recwarn,
                                                           name):
     # b_amp = 1e160 is finite, so the config is valid, but L_b^2 overflows:
-    # the check used to give a verdict on a nan bound or fail in the quadrature
-    cfg = small_check_config()
-    cfg["model"]["params"] = {"b_amp": 1e160}
-    cfg["check"] = {"name": name, "t": 0.1, "h_modes": [0.5], "h1_modes": [0.5],
-                    "h2_modes": [0.4], "functional": {**FUNCTIONAL, "lo": 0.1}}
+    # the check used to give a verdict on a nan bound or fail in the quadrature.
+    # At b_amp = 1e3 M and zeta(t) are finite but e^zeta(t) is not; only the
+    # gradient and variance bounds take it, and they used to raise a bare
+    # OverflowError after their ensembles had run.  At b_amp = 180 e^zeta(t)
+    # is finite but 2 M e^zeta(t) is not: the gradient check gave a verdict
+    cases = [(1e160, "L_b must be in range: L_b^2 = inf")]
+    if name in ("gradient", "variance"):
+        cases.append((1e3, "L_b and L_sigma must be in range: e^zeta(0.1) = inf"))
+    if name == "gradient":
+        cases.append((180.0, "the gradient bound factor is inf at L_b = 180.0"))
     passes = []
     monkeypatch.setattr(semigroup, "run_ensemble", lambda *a, **k: passes.append(a))
-    path = write_config(tmp_path, cfg)
-    assert main(["check", name, "--config", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and passes == []
-    assert "L_b must be in range: L_b^2 = inf" in captured.err
+    for b_amp, message in cases:
+        path = write_config(tmp_path, bound_check_config(name, b_amp))
+        assert main(["check", name, "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and passes == []
+        assert message in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("name", ["lipschitz", "log-harnack"])
+def test_bounds_without_e_zeta_run_where_it_overflows(tmp_path, capsys, name):
+    # these bounds take only e^-zeta, which stays finite at b_amp = 1e3
+    path = write_config(tmp_path, bound_check_config(name, 1e3))
+    assert main(["check", name, "--config", path]) == 0
+    assert capsys.readouterr().out.startswith(f"{name}: PASS")
+
+
+def bound_check_config(name, b_amp):
+    """small_check_config for bound check ``name`` at t = 0.1 with the given b_amp."""
+    cfg = small_check_config()
+    cfg["model"]["params"] = {"b_amp": b_amp}
+    cfg["check"] = {"name": name, "t": 0.1, "h_modes": [0.5], "h1_modes": [0.5],
+                    "h2_modes": [0.4], "functional": {**FUNCTIONAL, "lo": 0.1}}
+    return cfg
 
 
 def csv_writer_bytes(header, rows, first_line=""):

@@ -18,7 +18,6 @@ from rspde.grid_noise import (
     sample_increments,
     sine_profile,
     sup_norm,
-    with_stream,
     _philox_raw,
 )
 
@@ -71,7 +70,7 @@ def philox_reference(master_seed, stream_ids, step, n_raw):
 
 
 NOISE_SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
-NOISE_STEPS = [0, 1, 2**40]  # a counter offset is in test_increments_from_reference_words
+NOISE_STEPS = [0, 1, 2**40]  # test_increments_from_reference_words steps past 2**40 too
 NOISE_STREAM_SETS = {
     1: [[0], [7], [2**64 - 1]],
     3: [[0, 7, 2**64 - 1]],
@@ -165,14 +164,14 @@ class TestNoiseDeterminism:
 
     @pytest.mark.parametrize("width", sorted(NOISE_STREAM_SETS))
     def test_increments_from_reference_words(self, monkeypatch, width):
-        # Box-Muller and the counter offset give the same bits whether the
-        # words come from the compiled generator or from the reference
-        grid = make_grid(63, 1e-3, 0.1)
-        plan = NoisePlan(2**63 + 5, counter=2**40)
+        # Box-Muller gives the same bits whether the words come from the
+        # compiled generator or from the reference, at a step past 2**40
+        grid = make_grid(63, 1e-3, 1e-3 * (2**40 + 4))
+        plan = NoisePlan(2**63 + 5)
         streams = NOISE_STREAM_SETS[width][-1]
-        fast = increments_matrix(plan, grid, 3, streams)
+        fast = increments_matrix(plan, grid, 2**40 + 3, streams)
         monkeypatch.setattr(grid_noise, "_philox_raw", philox_reference)
-        assert fast.tobytes() == increments_matrix(plan, grid, 3, streams).tobytes()
+        assert fast.tobytes() == increments_matrix(plan, grid, 2**40 + 3, streams).tobytes()
 
     def test_batched_equals_single(self):
         grid = make_grid(63, 1e-3, 0.1)
@@ -180,7 +179,7 @@ class TestNoiseDeterminism:
         for streams in ([3, 10, 200], [0, 7, 2**64 - 1]):
             mat = increments_matrix(plan, grid, 5, streams)
             for col, stream in enumerate(streams):
-                single = sample_increments(with_stream(plan, stream), grid, 5)
+                single = sample_increments(NoisePlan(plan.master_seed, stream), grid, 5)
                 assert np.array_equal(mat[:, col], single)
 
     @given(seed=st.integers(0, 2**64 - 1), stream=st.integers(0, 2**32),
@@ -197,14 +196,6 @@ class TestNoiseDeterminism:
         grid = make_grid(7, 0.1, 0.5)
         with pytest.raises(ValueError):
             sample_increments(NoisePlan(1), grid, 5)
-
-    def test_counter_offsets_steps(self):
-        grid = make_grid(7, 0.1, 1.0)
-        shifted = NoisePlan(9, 2, counter=3)
-        base = NoisePlan(9, 2)
-        assert np.array_equal(
-            sample_increments(shifted, grid, 1), sample_increments(base, grid, 4)
-        )
 
     def test_golden_values_frozen(self):
         # pins the full documented pipeline (Philox raws -> Box-Muller ->
@@ -335,7 +326,7 @@ class TestNoiseThreads:
     def test_call_after_other_seed_equals_fresh_thread(self):
         grid = make_grid(15, 1e-2, 0.1)
         plan = NoisePlan(11, 4)
-        sample_increments(NoisePlan(12, 9, counter=3), grid, 5)
+        sample_increments(NoisePlan(12, 9), grid, 8)
         after = sample_increments(plan, grid, 2)
         fresh = []
         th = threading.Thread(target=lambda: fresh.append(sample_increments(plan, grid, 2)))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from rspde import semigroup
 from rspde.coefficients import CoefficientModel, constant_model, standard_model
-from rspde.grid_noise import NoisePlan, l2_norm, make_grid, with_stream
+from rspde.grid_noise import NoisePlan, l2_norm, make_grid
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
     Directions,
@@ -158,12 +158,13 @@ class TestRunEnsemble:
             sigma=lambda u: np.zeros_like(u), L_b=0.0, L_sigma=0.0,
             kappa1=0.0, kappa2=0.0,
         )
-        with pytest.raises(BlowUpError) as exc:
-            run_ensemble(h[None, :], 3, "penalized", explosive, grid, seed=1,
-                         n_paths=4, eps=1.0)
-        assert getattr(exc.value, "stream", None) == 0
-        assert exc.value.step == 0
-        assert exc.value.max_abs == np.max(h)
+        for stream_offset in (0, 5):
+            with pytest.raises(BlowUpError) as exc:
+                run_ensemble(h[None, :], 3, "penalized", explosive, grid, seed=1,
+                             n_paths=4, eps=1.0, stream_offset=stream_offset)
+            assert getattr(exc.value, "stream", None) == stream_offset
+            assert exc.value.step == 0
+            assert exc.value.max_abs == np.max(h)
 
     def test_model_returning_its_input_leaves_fields_intact(self, small):
         # b and sigma may hand back the field they were given: the engine

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspde.coefficients import CoefficientModel, constant_model, standard_model
-from rspde.grid_noise import NoisePlan, l2_norm, make_grid, sample_increments, with_stream
+from rspde.grid_noise import NoisePlan, l2_norm, make_grid, sample_increments
 from rspde.heat import ImplicitHeatSolver, spectral_basis
 from rspde.solver import (
     BlowUpError,
@@ -290,7 +290,7 @@ class TestSolveTangent:
         k = spectral_basis(grid.n_space).modes[0]
         delta = 1e-4
         for stream in range(3):
-            p = with_stream(plan, stream)
+            p = NoisePlan(plan.master_seed, stream)
             b0 = solve_path(h, "penalized", model, grid, p, save_at=[0.25], eps=1e-3)
             b1 = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, p,
                             save_at=[0.25], eps=1e-3)
@@ -307,7 +307,7 @@ class TestSolveTangent:
         bumped = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, plan,
                             save_at=[0.25], eps=1e-2)
         tang = solve_tangent(base, k, model, grid)
-        assert set(base.meta) == {"mode", "eps", "master_seed", "stream_id", "counter"}
+        assert set(base.meta) == {"mode", "eps", "master_seed", "stream_id"}
         assert tang.meta == dict(base.meta, mode="tangent")
         fd = (bumped.at(0.25) - base.at(0.25)) / delta
         assert l2_norm(tang.at(0.25) - fd, grid.dx) < 0.01 * l2_norm(tang.at(0.25), grid.dx)
@@ -326,6 +326,27 @@ class TestSolveTangent:
         refl = solve_path(h, "reflected", model, grid, plan, save_at=[0.25])
         with pytest.raises(ValueError):
             solve_tangent(refl, h, model, grid)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("blown", ["tangent", "base"])
+    def test_blow_up_reports_step_and_stream(self, blown):
+        # an infinite drift slope blows up the tangent field; an infinite
+        # drift blows up the regenerated base field, which is checked too
+        grid = make_grid(7, 0.1, 0.3)
+        h, k = np.full(7, 0.5), np.full(7, 2.0)
+        base = solve_path(h, "penalized", constant_model(0.0, 0.0), grid, NoisePlan(1, 3),
+                          eps=1e-2)
+        inf, zero = (lambda u: np.full_like(u, np.inf)), np.zeros_like
+        model = CoefficientModel(
+            name="explosive", b=inf if blown == "base" else zero, sigma=zero,
+            L_b=0.0, L_sigma=0.0, kappa1=0.0, kappa2=0.0,
+            db=zero if blown == "base" else inf, dsigma=zero,
+        )
+        with pytest.raises(BlowUpError) as exc:
+            solve_tangent(base, k, model, grid)
+        assert (exc.value.step, exc.value.stream) == (0, 3)
+        assert exc.value.max_abs == (0.5 if blown == "base" else 2.0)  # the initial field
 
 
 class TestDeterministicObstacle:

@@ -61,3 +61,17 @@ def test_every_import_is_top_level(path):
     nested = [node.lineno for node in ast.walk(tree)
               if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body]
     assert not nested, f"{path.name}: imports below module level at lines {nested}"
+
+
+STEPPER_PARTS = {"_drift_noise_solve", "_check_finite"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "solver.py"],
+                         ids=lambda p: p.name)
+def test_only_solver_names_the_step_parts(path):
+    # every run steps through solver._lockstep; no other module rebuilds the step
+    tree = ast.parse(path.read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert not names & STEPPER_PARTS, f"{path.name} names {sorted(names & STEPPER_PARTS)}"
