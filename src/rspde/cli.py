@@ -34,7 +34,9 @@ from .verify import (
 
 __all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds"]
 
-CHECK_NAMES = ("gradient", "log-harnack", "variance", "lipschitz", "continuity", "comparison")
+_BOUND_CHECKS = {"gradient": check_gradient_estimate, "log-harnack": check_log_harnack,
+                 "variance": check_variance_bound, "lipschitz": check_lipschitz_Pt}
+CHECK_NAMES = (*_BOUND_CHECKS, "continuity", "comparison")
 
 
 def _write_rows(fh, header, rows):
@@ -108,10 +110,6 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
     return 0
 
 
-_BOUND_CHECKS = {"gradient": check_gradient_estimate, "variance": check_variance_bound,
-                 "lipschitz": check_lipschitz_Pt, "log-harnack": check_log_harnack}
-
-
 def _run_named_check(name: str, cfg: dict, m_scale: float):
     grid = cfgmod.build_grid(cfg)
     model = cfgmod.build_model(cfg)
@@ -119,13 +117,12 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
     chk = cfg.get("check", {})
     mode, eps, seed, n_paths = run["mode"], run.get("eps"), run["seed"], run["n_paths"]
     t = float(chk.get("t", grid.t_final))
+    h, _ = cfgmod.initial_field(grid, chk.get("h_modes", run.get("h_modes")))
 
     if name == "converge_eps":
-        ladder = run.get("eps_ladder", chk.get("eps_ladder", [1e-2, 1e-3, 1e-4]))
-        h, _ = cfgmod.initial_field(grid, chk.get("h_modes", run.get("h_modes")))
+        ladder = chk.get("eps_ladder", run.get("eps_ladder", [1e-2, 1e-3, 1e-4]))
         return check_eps_convergence(h, model, grid, ladder, n_paths, seed)
     if name == "comparison":
-        h, _ = cfgmod.initial_field(grid, chk.get("h_modes"))
         return check_eps_monotonicity(
             h, model, grid,
             eps_big=float(chk.get("eps_big", 1e-2)),
@@ -145,10 +142,8 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
     if "functional" not in chk:
         raise ConfigError(f"check.functional: missing required field for the {name} check")
     phi = functional_from_config(grid, chk["functional"])
-    if name == "log-harnack":
-        fields = [cfgmod.initial_field(grid, chk.get(key))[0] for key in ("h1_modes", "h2_modes")]
-    else:
-        fields = [cfgmod.initial_field(grid, chk.get("h_modes"))[0]]
+    fields = ([cfgmod.initial_field(grid, chk.get(key))[0] for key in ("h1_modes", "h2_modes")]
+              if name == "log-harnack" else [h])
     return _BOUND_CHECKS[name](phi, *fields, t, mode, model, grid, n_paths, seed,
                                eps=eps, m_scale=m_scale)
 
@@ -226,9 +221,6 @@ def main(argv=None) -> int:
         return cmd_check(args.name, cfg, args.out, args.debug_scale_m, cfgmod.config_hash(file_cfg))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # execution errors are exit 1, not 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -154,8 +154,8 @@ def sin_modulated_model(b_amp: float = 1.0, b_freq: float = 1.0,
     )
 
 
-def standard_model(penalty: str = "negative_part") -> CoefficientModel:
-    return sin_modulated_model(penalty=penalty)
+def standard_model() -> CoefficientModel:
+    return sin_modulated_model()
 
 
 MODEL_CATALOGUE = {

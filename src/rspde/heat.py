@@ -49,7 +49,7 @@ def spectral_basis(n_space: int, n_modes: int | None = None) -> SpectralBasis:
     return SpectralBasis(n_space, n_modes)
 
 
-def heat_apply(h: np.ndarray, t: float, n_modes: int | None = None) -> np.ndarray:
+def heat_apply(h: np.ndarray, t: float) -> np.ndarray:
     """Exact heat semigroup on the sampled field: sum_n e^{-n^2 pi^2 t/2} <h,e_n> e_n.
 
     Reference implementation for validating time integrators; cost is a
@@ -57,7 +57,7 @@ def heat_apply(h: np.ndarray, t: float, n_modes: int | None = None) -> np.ndarra
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    basis = spectral_basis(h.shape[0], n_modes)
+    basis = spectral_basis(h.shape[0])
     damped = np.exp(-basis.eigenvalues * t) * basis.coefficients(h)
     return basis.modes.T @ damped
 

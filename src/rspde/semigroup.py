@@ -54,12 +54,9 @@ class FunctionalContractError(RuntimeError):
 
 
 def _stable_logistic(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 @dataclass(frozen=True)
@@ -206,6 +203,12 @@ def _n_threads() -> int:
     return os.cpu_count() or 1
 
 
+def _track_sup(sup, U, pairs) -> None:
+    """Raise sup[p] to max over nodes of |U[:, i, :] - U[:, j, :]| for each pair p = (i, j)."""
+    for p, (i, j) in enumerate(pairs):
+        np.maximum(sup[p], np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0), out=sup[p])
+
+
 def _chunk_ranges(n_paths: int):
     return [(lo, min(lo + _STREAM_CHUNK, n_paths)) for lo in range(0, n_paths, _STREAM_CHUNK)]
 
@@ -246,15 +249,10 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
         streams = np.arange(lo, hi) + stream_offset
         U = [np.broadcast_to(H.T[:, :, None], (n, V, hi - lo)).copy()]
         sup = sup_out[:, lo:hi]
-
-        def track_sup(U):
-            for p, (i, j) in enumerate(pairs):
-                np.maximum(sup[p], np.max(np.abs(U[:, i, :] - U[:, j, :]), axis=0), out=sup[p])
-
-        track_sup(U[0])
+        _track_sup(sup, U[0], pairs)
         for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
                            n_run_steps, model, grid, streams):
-            track_sup(U[0])
+            _track_sup(sup, U[0], pairs)
         out[:, :, lo:hi] = U[0].transpose(1, 0, 2)
 
     ranges = _chunk_ranges(n_paths)
@@ -280,9 +278,7 @@ def _check_n_paths(n_paths: int) -> None:
 
 
 def _check_positive(name: str, *values) -> None:
-    """ValueError naming ``name`` unless it has values and each one is > 0."""
-    if not values:
-        raise ValueError(f"{name} must not be empty")
+    """ValueError naming ``name`` unless each of its values is > 0."""
     for v in values:
         if not v > 0:
             raise ValueError(f"{name} must be > 0, got {v!r}")
@@ -301,7 +297,17 @@ def _variance_se(values: np.ndarray) -> tuple[float, float]:
     return var, math.sqrt(max(m4 - var * var * (n - 3) / (n - 1), 0.0) / n)
 
 
-def _estimate(per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
+def _check_estimator(phi: Functional, h, mode, eps, grid: SpaceTimeGrid, n_paths: int) -> np.ndarray:
+    """The rules every estimator checks before its pass; returns h as floats."""
+    _check_n_paths(n_paths)
+    if len(phi.phi) != grid.n_space:
+        raise ValueError(f"phi has {len(phi.phi)} nodes, the grid has {grid.n_space}")
+    h = np.asarray(h, float)
+    _check_run(h, mode, eps)
+    return h
+
+
+def _estimate(phi, per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
               at_t0=None) -> MCEstimate:
     """Shared body of the scalar estimators.
 
@@ -311,9 +317,7 @@ def _estimate(per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
     sits at h: the mean is ``at_t0`` (default per_path(h)) and the std
     error 0.  The run rules hold at every t.
     """
-    _check_n_paths(n_paths)
-    h = np.asarray(h, float)
-    _check_run(h, mode, eps)
+    h = _check_estimator(phi, h, mode, eps, grid, n_paths)
     n_steps = grid.step_of(t)
     if n_steps == 0:
         return MCEstimate(float(per_path(h)) if at_t0 is None else at_t0, 0.0)
@@ -323,7 +327,7 @@ def _estimate(per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,
 
 def estimate_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of Phi(u(t; h)) over streams 0..n_paths-1."""
-    return _estimate(phi.value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi, phi.value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
@@ -339,17 +343,17 @@ def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps
             )
         return np.log(values)
 
-    return _estimate(log_value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi, log_value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_Pt_grad_sq(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Ensemble mean of |grad Phi|^2(u(t; h)) (right-hand sides of the bounds)."""
-    return _estimate(phi.grad_sq, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi, phi.grad_sq, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
 
 
 def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Unbiased sample variance of Phi(u(t; h)) with its asymptotic std error."""
-    return _estimate(phi.value, _variance_se, h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
+    return _estimate(phi, phi.value, _variance_se, h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
 
 
 class Directions(NamedTuple):
@@ -403,9 +407,7 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     ``directions`` is a Directions of labelled unit fields; None means
     direction_dictionary(grid).
     """
-    _check_n_paths(n_paths)
-    h = np.asarray(h, dtype=float)
-    _check_run(h, mode, eps)
+    h = _check_estimator(phi, h, mode, eps, grid, n_paths)
     if directions is None:
         directions = direction_dictionary(grid)
     elif not isinstance(directions, Directions):

@@ -21,6 +21,7 @@ from .semigroup import (
     _check_n_paths,
     _check_positive,
     _mean_se,
+    _track_sup,
     estimate_grad_Pt,
     estimate_Pt,
     estimate_Pt_grad_sq,
@@ -104,6 +105,13 @@ def _bound_factor(check, t, model: CoefficientModel, m_scale, factor) -> float:
     return value
 
 
+def _check_ladder(name: str, ladder) -> None:
+    """ValueError naming ``name`` unless its rungs are > 0 and not all equal (one cannot fail)."""
+    _check_positive(name, *ladder)
+    if len(set(ladder)) < 2:
+        raise ValueError(f"{name} needs at least two distinct rungs, got {list(ladder)}")
+
+
 def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
           allowance_rhs=None, margin_ratio=None) -> CheckReport:
     """The 3-SE gate: PASS when lhs <= rhs + 3 * combined SE + allowance.
@@ -127,7 +135,7 @@ def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
 
 def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel,
                             grid: SpaceTimeGrid, n_paths: int, seed: int, eps=None,
-                            directions=None, delta=None, m_scale: float = 1.0) -> CheckReport:
+                            directions=None, m_scale: float = 1.0) -> CheckReport:
     """Gate |grad P_t Phi|^2 <= 2 M e^{zeta(t)} P_t |grad Phi|^2.
 
     The left side uses the coupled finite-difference proxy (a lower bound,
@@ -139,7 +147,7 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     factor = _bound_factor("gradient", t, model, m_scale, lambda p: (
         2.0 * m_scale * p.M * p.exp_zeta(t)))
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
-                            eps=eps, directions=directions, delta=delta)
+                            eps=eps, directions=directions)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     return _gate(
         "gradient", grad.value ** 2, factor * pgs.mean,
@@ -196,7 +204,7 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
 
 def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
                        grid: SpaceTimeGrid, n_paths: int, seed: int, eps=None,
-                       directions=None, delta=None, m_scale: float = 1.0) -> CheckReport:
+                       directions=None, m_scale: float = 1.0) -> CheckReport:
     """Gate |grad P_t Phi|^2 <= (2M / (k1^2 int_0^t e^{-zeta})) * variance.
 
     Works for merely bounded Phi, so it doubles as the empirical
@@ -206,7 +214,7 @@ def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
     factor = _bound_factor("lipschitz", t, model, m_scale, lambda p: (
         2.0 * m_scale * p.M / (model.kappa1 ** 2 * p.int_exp_neg_zeta(t))))
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
-                            eps=eps, directions=directions, delta=delta)
+                            eps=eps, directions=directions)
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     return _gate(
         "lipschitz", grad.value ** 2, factor * var.mean,
@@ -231,7 +239,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     h2 = np.asarray(h2, float)
     if p < 1:
         raise ValueError("p must be >= 1")
-    _check_positive("ladder", *ladder)
+    _check_ladder("ladder", ladder)
     if any(s > 1 for s in ladder):
         raise ValueError(f"ladder rungs must lie in (0, 1], got {list(ladder)}")
     _check_n_paths(n_paths)
@@ -295,8 +303,7 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         running_scale = np.maximum(running_scale, np.max(np.abs(u_small), axis=0))
         gap = u_big - u_small - _allowance(grid, running_scale)
         violations += int(np.count_nonzero(gap > 0.0))
-        if gap.size:
-            worst = max(worst, float(np.max(gap)))
+        worst = max(worst, float(np.max(gap)))
     total = grid.n_steps * grid.n_space * n_paths
     fraction = violations / total
     return CheckReport(
@@ -318,7 +325,7 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     distance E[sup_{t,x} |u_eps - u_reflected|] must decrease along a
     decreasing eps ladder, and the reflected run must stay exactly
     nonnegative."""
-    _check_positive("eps_ladder", *eps_ladder)
+    _check_ladder("eps_ladder", eps_ladder)
     _check_n_paths(n_paths)
     eps_ladder = sorted(eps_ladder, reverse=True)
     h = np.asarray(h, float)
@@ -338,12 +345,11 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         _project(V[:, n_eps, :], grid, ledger)
         return V
 
+    pairs = [(j, n_eps) for j in range(n_eps)]
     for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
                        grid.n_steps, model, grid, streams):
-        u_ref = U[0][:, n_eps, :]
-        min_reflected = min(min_reflected, float(np.min(u_ref)))
-        for j in range(n_eps):
-            np.maximum(sup_dist[j], np.max(np.abs(U[0][:, j, :] - u_ref), axis=0), out=sup_dist[j])
+        min_reflected = min(min_reflected, float(np.min(U[0][:, n_eps, :])))
+        _track_sup(sup_dist, U[0], pairs)
     stats = [_mean_se(sup_dist[j]) for j in range(n_eps)]
     means = [mean for mean, _ in stats]
     decreasing = all(means[j + 1] < means[j] for j in range(n_eps - 1))

@@ -111,6 +111,8 @@ class TestConfigSchema:
         ("run", "eps_ladder", []),
         ("check", "ladder", [1.0, 2.0]),
         ("run", "eps_ladder", [1e-2, math.inf]),
+        ("check", "ladder", [0.5]),  # one rung: a PASS that cannot fail
+        ("run", "eps_ladder", [1e-2]),
     ])
     def test_rejects_bad_ladder_eps_or_functional_naming_field(self, block, key, value):
         cfg = base_config(check={"name": "continuity"})
@@ -411,6 +413,56 @@ def bound_check_config(name, b_amp):
     cfg["check"] = {"name": name, "t": 0.1, "h_modes": [0.5], "h1_modes": [0.5],
                     "h2_modes": [0.4], "functional": {**FUNCTIONAL, "lo": 0.1}}
     return cfg
+
+
+def lookup_config(run=(), check=()):
+    """small_check_config at 8 paths with a functional at t = 0.1; ``run`` and
+    ``check`` add keys to those blocks, and the check block has no h_modes of its own."""
+    cfg = small_check_config()
+    cfg["run"].update(run, n_paths=8)
+    cfg["check"] = {"t": 0.1, "functional": FUNCTIONAL, **dict(check)}
+    return cfg
+
+
+def run_report(tmp_path, capsys, argv, cfg, label):
+    """Exit code, stdout and written report (config_hash removed) of one check command."""
+    out = tmp_path / label
+    code = main([*argv, "--config", write_config(tmp_path, cfg, f"{label}.json"), "--out", str(out)])
+    report = json.loads(next(out.glob("report_*.json")).read_text())
+    report.pop("config_hash")
+    return code, capsys.readouterr().out, report
+
+
+class TestBlockLookup:
+    """h_modes and eps_ladder may sit in run or in check: each command reads its own
+    block first (run for simulate, check for check and converge-eps), then the other."""
+
+    def test_h_modes_in_run_serve_the_checks(self, tmp_path, capsys):
+        # these checks used to read only check.h_modes and ran from h = 0
+        in_run, in_check = lookup_config(run={"h_modes": [1.5]}), lookup_config(check={"h_modes": [1.5]})
+        for name in ("variance", "comparison"):
+            assert (run_report(tmp_path, capsys, ["check", name], in_run, f"run-{name}")
+                    == run_report(tmp_path, capsys, ["check", name], in_check, f"check-{name}"))
+        # from h = 0 every probe direction left the cone, an exit 1
+        assert main(["check", "gradient", "--config", write_config(tmp_path, in_run)]) == 0
+
+    def test_each_command_reads_its_own_block_first(self, tmp_path, capsys):
+        ladder = [1e-2, 1e-3, 1e-4]
+        both = lookup_config(run={"h_modes": [0.5], "eps_ladder": [0.1, 0.05]},
+                             check={"h_modes": [1.5], "eps_ladder": ladder})
+        check_only = lookup_config(check={"h_modes": [1.5], "eps_ladder": ladder})
+        # converge-eps used to take run.eps_ladder first
+        for argv in (["check", "variance"], ["check", "comparison"], ["converge-eps"]):
+            assert (run_report(tmp_path, capsys, argv, both, f"both-{argv[-1]}")
+                    == run_report(tmp_path, capsys, argv, check_only, f"check-{argv[-1]}"))
+        rows = []
+        for label, cfg in (("both", both), ("run", lookup_config(run={"h_modes": [0.5]}))):
+            out = tmp_path / f"sim-{label}"
+            assert main(["simulate", "--config", write_config(tmp_path, cfg, f"sim-{label}.json"),
+                         "--out", str(out)]) == 0
+            rows.append([(out / f"trajectory_{s:03d}.csv").read_text().split("\n", 1)[1]
+                         for s in range(8)])
+        assert rows[0] == rows[1]
 
 
 def csv_writer_bytes(header, rows, first_line=""):

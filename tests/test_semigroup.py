@@ -111,6 +111,21 @@ class TestFunctionalCatalogue:
         with pytest.raises(ValueError, match="lo <= hi"):
             build(e1, grid.dx)
 
+    def test_stable_logistic_bits_match_closed_forms(self):
+        # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, bit for bit; neither
+        # side's exp overflows, and a nan stays a nan
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 1.0, -1.0, 36.0, -36.0,
+                   37.0, -37.0, 709.0, -709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0,
+                   1e308, -1e308, math.inf, -math.inf]
+        rng = np.random.default_rng(3)
+        x = np.concatenate([special, rng.normal(size=200) * 10.0 ** rng.integers(-8, 3, 200)])
+        with np.errstate(over="raise"):
+            got = semigroup._stable_logistic(x)
+        want = np.array([1.0 / (1.0 + np.exp(-v)) if v >= 0 else np.exp(v) / (1.0 + np.exp(v))
+                         for v in x])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.isnan(semigroup._stable_logistic(np.array([math.nan, -math.nan]))).all()
+
     def test_lo_equal_hi_is_a_constant_functional(self, small):
         grid, _, e1, h = small
         U = np.stack([h, 5 * h, 0 * h], axis=1)

@@ -209,7 +209,7 @@ class TestVarianceAndLipschitz:
         assert np.isfinite(smoothed.value)
         assert smoothed.value < 0.05 * raw.value
         report = check_lipschitz_Pt(step, h, 0.1, "reflected", model, grid, 300,
-                                    seed=10, directions=Directions(["e1"], [e1]), delta=delta)
+                                    seed=10, directions=Directions(["e1"], [e1]))
         assert report.passed
 
 
@@ -231,10 +231,11 @@ class TestContinuityCheck:
         with pytest.raises(ValueError, match="n_paths"):
             check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 1, seed=1)
 
-    @pytest.mark.parametrize("ladder", [(), (1.0, 0.0), (1.0, -0.5), (1.0, 2.0)])
+    @pytest.mark.parametrize("ladder", [(), (1.0, 0.0), (1.0, -0.5), (1.0, 2.0), (0.5,), (0.5, 0.5)])
     def test_empty_or_nonpositive_ladder_rejected(self, lab, ladder):
         # a zero rung made a nan ratio that max/min skipped, giving PASS; a
-        # rung above 1 leaves the segment [h1, h2] and can leave the cone
+        # rung above 1 leaves the segment [h1, h2] and can leave the cone;
+        # one distinct rung gave a spread of 1, a PASS that could not fail
         grid, model, _, h, _ = lab
         with pytest.raises(ValueError, match="ladder"):
             check_initial_continuity(h, 0.5 * h, 2.0, "reflected", model, grid, 4, seed=1,
@@ -291,8 +292,9 @@ class TestEpsExperiments:
         report = check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, 1, seed=1)
         assert report.inputs["points_checked"] == grid.n_steps * grid.n_space
 
-    @pytest.mark.parametrize("ladder", [[], [1e-2, 0.0], [1e-2, -1e-3]])
+    @pytest.mark.parametrize("ladder", [[], [1e-2, 0.0], [1e-2, -1e-3], [1e-2]])
     def test_convergence_rejects_empty_or_nonpositive_ladder(self, lab, ladder):
+        # one rung gave lhs = rhs, a PASS that could not fail
         grid, model, _, h, _ = lab
         with pytest.raises(ValueError, match="eps_ladder"):
             check_eps_convergence(h, model, grid, ladder, 4, seed=1)
@@ -389,3 +391,16 @@ def test_bound_check_rejects_t_before_any_run(tiny, monkeypatch, check, n_fields
     phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
     with pytest.raises(ValueError, match="t must be > 0"):
         check(phi, *[h] * n_fields, t, "reflected", model, grid, 8, seed=1)
+
+
+@pytest.mark.parametrize("check, n_fields", BOUND_CHECKS, ids=lambda v: getattr(v, "__name__", v))
+def test_bound_check_rejects_phi_on_another_grid_before_any_run(tiny, monkeypatch, check, n_fields):
+    # a 31-node phi on the 15-node grid used to fail in Functional.pair with
+    # numpy's shape mismatch, after the check's first ensemble pass
+    grid, model, _, h = tiny
+    passes = []
+    monkeypatch.setattr(semigroup, "run_ensemble", lambda *a, **k: passes.append(a))
+    phi = exp_neg_pair(spectral_basis(31).modes[0], 1.0 / 32, lo=0.1, hi=1.0)
+    with pytest.raises(ValueError, match="phi has 31 nodes, the grid has 15"):
+        check(phi, *[h] * n_fields, 0.1, "reflected", model, grid, 8, seed=1)
+    assert passes == []
