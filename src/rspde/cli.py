@@ -16,26 +16,18 @@ import sys
 
 import numpy as np
 
-from . import config as cfgmod
+from . import config as cfgmod, verify
 from .coefficients import BoundProfile, harnack_rhs
 from .config import ConfigError
 from .grid_noise import NoisePlan
 from .semigroup import functional_from_config
 from .solver import solve_path
-from .verify import (
-    check_eps_convergence,
-    check_eps_monotonicity,
-    check_gradient_estimate,
-    check_initial_continuity,
-    check_lipschitz_Pt,
-    check_log_harnack,
-    check_variance_bound,
-)
 
 __all__ = ["main", "cmd_simulate", "cmd_check", "cmd_bounds"]
 
-_BOUND_CHECKS = {"gradient": check_gradient_estimate, "log-harnack": check_log_harnack,
-                 "variance": check_variance_bound, "lipschitz": check_lipschitz_Pt}
+# CLI name -> rspde.verify attribute, looked up per run so that a rebinding takes effect
+_BOUND_CHECKS = {"gradient": "check_gradient_estimate", "log-harnack": "check_log_harnack",
+                 "variance": "check_variance_bound", "lipschitz": "check_lipschitz_Pt"}
 CHECK_NAMES = (*_BOUND_CHECKS, "continuity", "comparison")
 
 
@@ -111,6 +103,9 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
 
 
 def _run_named_check(name: str, cfg: dict, m_scale: float):
+    if name not in _BOUND_CHECKS and m_scale != 1.0:
+        raise ValueError(f"--debug-scale-m rescales M, which only the bound checks "
+                         f"{', '.join(_BOUND_CHECKS)} take; {name} got {m_scale!r}")
     grid = cfgmod.build_grid(cfg)
     model = cfgmod.build_model(cfg)
     run = cfg["run"]
@@ -119,33 +114,35 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
     t = float(chk.get("t", grid.t_final))
     h, _ = cfgmod.initial_field(grid, chk.get("h_modes", run.get("h_modes")))
 
+    def point(key):
+        if key not in chk:
+            raise ConfigError(f"check.{key}: missing required field for the {name} check")
+        return cfgmod.initial_field(grid, chk[key])[0]
+
     if name == "converge_eps":
         ladder = chk.get("eps_ladder", run.get("eps_ladder", [1e-2, 1e-3, 1e-4]))
-        return check_eps_convergence(h, model, grid, ladder, n_paths, seed)
+        return verify.check_eps_convergence(h, model, grid, ladder, n_paths, seed)
     if name == "comparison":
-        return check_eps_monotonicity(
+        return verify.check_eps_monotonicity(
             h, model, grid,
             eps_big=float(chk.get("eps_big", 1e-2)),
             eps_small=float(chk.get("eps_small", 1e-3)),
             n_paths=n_paths, seed=seed,
         )
     if name == "continuity":
-        h1, _ = cfgmod.initial_field(grid, chk.get("h1_modes"))
-        h2, _ = cfgmod.initial_field(grid, chk.get("h2_modes"))
-        return check_initial_continuity(
-            h1, h2, float(chk.get("p", 2.0)), mode, model, grid,
+        return verify.check_initial_continuity(
+            point("h1_modes"), point("h2_modes"), float(chk.get("p", 2.0)), mode, model, grid,
             n_paths=n_paths, seed=seed, eps=eps,
             ladder=tuple(chk.get("ladder", (1.0, 0.5, 0.25))),
         )
     if name not in _BOUND_CHECKS:
         raise ConfigError(f"unknown check {name!r}")
+    fields = [point("h1_modes"), point("h2_modes")] if name == "log-harnack" else [h]
     if "functional" not in chk:
         raise ConfigError(f"check.functional: missing required field for the {name} check")
     phi = functional_from_config(grid, chk["functional"])
-    fields = ([cfgmod.initial_field(grid, chk.get(key))[0] for key in ("h1_modes", "h2_modes")]
-              if name == "log-harnack" else [h])
-    return _BOUND_CHECKS[name](phi, *fields, t, mode, model, grid, n_paths, seed,
-                               eps=eps, m_scale=m_scale)
+    return getattr(verify, _BOUND_CHECKS[name])(phi, *fields, t, mode, model, grid, n_paths,
+                                                seed, eps=eps, m_scale=m_scale)
 
 
 def cmd_check(name: str, cfg: dict, out_dir: str | None, m_scale: float, cfg_hash: str) -> int:
@@ -192,7 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("name", choices=CHECK_NAMES)
     p_chk.add_argument("--out", default=None)
     p_chk.add_argument("--debug-scale-m", type=float, default=1.0,
-                       help="rescale the smoothing constant M (fail-injection debugging)")
+                       help="rescale M (> 0) in the four bound checks (fail-injection debugging)")
 
     p_bnd = sub.add_parser("bounds", help="print M, zeta, and Harnack bound columns as CSV")
     p_bnd.add_argument("--L-b", type=float, required=True, dest="L_b")

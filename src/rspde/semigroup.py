@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -184,9 +184,9 @@ class GradientEstimate:
     value: float
     std_error: float
     best_direction: str
-    per_direction: list = field(default_factory=list)  # (label, mean, std_error)
-    rejected: list = field(default_factory=list)       # (label, projection distance)
-    delta: float = 0.0
+    per_direction: list  # (label, mean, std_error)
+    rejected: list       # (label, projection distance)
+    delta: float
 
 
 # ---------------------------------------------------------------------------

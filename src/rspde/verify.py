@@ -50,11 +50,14 @@ class CheckReport:
     lhs: float
     rhs: float
     std_errors: dict
-    margin_ratio: float
+    margin_ratio: float = field(init=False)  # |rhs| / |lhs|, infinite at lhs = 0
     inputs: dict
     seed: int
     config_hash: str = ""
     notes: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.margin_ratio = math.inf if self.lhs == 0 else abs(self.rhs) / abs(self.lhs)
 
     @property
     def verdict(self) -> str:
@@ -85,17 +88,13 @@ def _allowance(grid: SpaceTimeGrid, scale):
     return 5.0 * (grid.dt + grid.dx ** 2) * scale
 
 
-def _margin(lhs: float, rhs: float) -> float:
-    if lhs <= 0.0:
-        return math.inf
-    return rhs / lhs
-
-
 def _bound_factor(check, t, model: CoefficientModel, m_scale, factor) -> float:
-    """The bound checks' prologue, run before any ensemble: t > 0, M and
-    zeta(t), then the check's bound factor(profile), which must be finite."""
+    """The bound checks' prologue, run before any ensemble: t > 0, m_scale > 0,
+    M and zeta(t), then the check's bound factor(profile), which must be finite."""
     if t <= 0:
         raise ValueError("t must be > 0")
+    if not m_scale > 0:
+        raise ValueError(f"m_scale must be > 0, got {m_scale!r}")
     profile = BoundProfile(model.L_b, model.L_sigma)
     profile.zeta(t)  # zeta grows with t, so every zeta(s <= t) the check takes is finite
     value = factor(profile)
@@ -112,12 +111,13 @@ def _check_ladder(name: str, ladder) -> None:
         raise ValueError(f"{name} needs at least two distinct rungs, got {list(ladder)}")
 
 
-def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
-          allowance_rhs=None, margin_ratio=None) -> CheckReport:
+def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, seed, t, n_paths, model, m_scale,
+          allowance_rhs=None, **inputs) -> CheckReport:
     """The 3-SE gate: PASS when lhs <= rhs + 3 * combined SE + allowance.
 
     The allowance scales with max(|lhs|, |allowance_rhs|), where
-    allowance_rhs defaults to rhs; margin_ratio defaults to rhs / lhs.
+    allowance_rhs defaults to rhs.  The report's inputs are t, n_paths, the
+    model name and m_scale, then the check's own keyword ``inputs``.
     """
     scale_rhs = rhs if allowance_rhs is None else allowance_rhs
     slack = 3.0 * _combined_se(se_lhs, se_rhs) + _allowance(grid, max(abs(lhs), abs(scale_rhs)))
@@ -127,8 +127,7 @@ def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, inputs, seed,
         lhs=lhs,
         rhs=rhs,
         std_errors={"lhs": se_lhs, "rhs": se_rhs},
-        margin_ratio=_margin(lhs, rhs) if margin_ratio is None else margin_ratio,
-        inputs=inputs,
+        inputs={"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale, **inputs},
         seed=seed,
     )
 
@@ -149,14 +148,10 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    return _gate(
-        "gradient", grad.value ** 2, factor * pgs.mean,
-        2.0 * grad.value * grad.std_error, factor * pgs.std_error, grid,
-        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
-         "best_direction": grad.best_direction, "delta": grad.delta,
-         "rejected_directions": [lbl for lbl, _ in grad.rejected]},
-        seed,
-    )
+    return _gate("gradient", grad.value ** 2, factor * pgs.mean,
+                 2.0 * grad.value * grad.std_error, factor * pgs.std_error, grid, seed,
+                 t, n_paths, model, m_scale, best_direction=grad.best_direction,
+                 delta=grad.delta, rejected_directions=[lbl for lbl, _ in grad.rejected])
 
 
 def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
@@ -175,14 +170,9 @@ def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
     right = estimate_Pt(phi, h2, t, mode, model, grid, n_paths, seed, eps=eps)
     log_mean = math.log(right.mean)
     rhs = log_mean + additive
-    return _gate(
-        "log-harnack", left.mean, rhs, left.std_error, right.std_error / right.mean, grid,
-        {"t": t, "n_paths": n_paths, "model": model.name, "dist2": dist2,
-         "additive_term": additive, "m_scale": m_scale},
-        seed,
-        allowance_rhs=log_mean,
-        margin_ratio=_margin(abs(left.mean), abs(rhs)),
-    )
+    return _gate("log-harnack", left.mean, rhs, left.std_error, right.std_error / right.mean,
+                 grid, seed, t, n_paths, model, m_scale, allowance_rhs=log_mean,
+                 dist2=dist2, additive_term=additive)
 
 
 def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
@@ -195,11 +185,8 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
         raise ValueError("variance bound check needs a C1 catalogue functional")
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    return _gate(
-        "variance", var.mean, factor * pgs.mean, var.std_error, factor * pgs.std_error, grid,
-        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale},
-        seed,
-    )
+    return _gate("variance", var.mean, factor * pgs.mean, var.std_error,
+                 factor * pgs.std_error, grid, seed, t, n_paths, model, m_scale)
 
 
 def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
@@ -216,13 +203,9 @@ def check_lipschitz_Pt(phi: Functional, h, t, mode, model: CoefficientModel,
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions)
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
-    return _gate(
-        "lipschitz", grad.value ** 2, factor * var.mean,
-        2.0 * grad.value * grad.std_error, factor * var.std_error, grid,
-        {"t": t, "n_paths": n_paths, "model": model.name, "m_scale": m_scale,
-         "best_direction": grad.best_direction},
-        seed,
-    )
+    return _gate("lipschitz", grad.value ** 2, factor * var.mean,
+                 2.0 * grad.value * grad.std_error, factor * var.std_error, grid, seed,
+                 t, n_paths, model, m_scale, best_direction=grad.best_direction)
 
 
 def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
@@ -250,11 +233,11 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     pairs = [(0, 1 + j) for j in range(len(ladder))]
     _, sups = run_ensemble(np.stack(variants), grid.n_steps, mode, model, grid,
                            seed, n_paths, eps=eps, track_sup_pairs=pairs)
+    sup_diffs = [float(sup_norm(s * diff)) for s in ladder]
     ratios = []
     ses = {}
     for j, s in enumerate(ladder):
-        denom = float(sup_norm(s * diff)) ** p
-        mean, ses[f"s={s:g}"] = _mean_se(sups[j] ** p / denom)
+        mean, ses[f"s={s:g}"] = _mean_se(sups[j] ** p / sup_diffs[j] ** p)
         ratios.append(mean)
     spread = max(ratios) / min(ratios)
     return CheckReport(
@@ -263,12 +246,19 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
         lhs=spread,
         rhs=2.0,
         std_errors=ses,
-        margin_ratio=_margin(spread, 2.0),
-        inputs={"p": p, "ladder": list(ladder), "ratios": ratios,
-                "sup_diffs": [float(sup_norm(s * diff)) for s in ladder],
+        inputs={"p": p, "ladder": list(ladder), "ratios": ratios, "sup_diffs": sup_diffs,
                 "n_paths": n_paths, "model": model.name},
         seed=seed,
     )
+
+
+def _eps_slab(h, grid: SpaceTimeGrid, n_variants: int, n_paths: int, seed: int):
+    """The eps experiments' start: h copied to shape (n_space, n_variants, n_paths),
+    the streams 0..n_paths-1, and their noise callable m -> (n_space, 1, n_paths)."""
+    plan = NoisePlan(seed)
+    streams = np.arange(n_paths)
+    u0 = np.broadcast_to(np.asarray(h, float)[:, None, None], (grid.n_space, n_variants, n_paths))
+    return u0.copy(), streams, lambda m: increments_matrix(plan, grid, m, streams)[:, None, :]
 
 
 def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
@@ -286,18 +276,14 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         raise ValueError("need eps_small < eps_big")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    h = np.asarray(h, float)
-    plan = NoisePlan(seed)
-    streams = np.arange(n_paths)
-    u0 = np.broadcast_to(h[:, None], (grid.n_space, n_paths)).copy()
+    u0, streams, noise = _eps_slab(h, grid, 1, n_paths, seed)
     fields = [u0, u0]  # [u_big, u_small]; the stepper replaces each, never writes into it
     stages = [lambda v, q=grid.dt / e: penalty_resolvent(v, q, model.penalty_kind)
               for e in (eps_big, eps_small)]
     running_scale = np.maximum(np.max(np.abs(u0), axis=0), 1e-300)
     violations = 0
     worst = 0.0
-    for _ in _lockstep(fields, stages, lambda m: increments_matrix(plan, grid, m, streams),
-                       grid.n_steps, model, grid, streams):
+    for _ in _lockstep(fields, stages, noise, grid.n_steps, model, grid, streams):
         u_big, u_small = fields
         running_scale = np.maximum(running_scale, np.max(np.abs(u_big), axis=0))
         running_scale = np.maximum(running_scale, np.max(np.abs(u_small), axis=0))
@@ -312,7 +298,6 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         lhs=fraction,
         rhs=MAX_VIOLATION_FRACTION,
         std_errors={},
-        margin_ratio=_margin(fraction, MAX_VIOLATION_FRACTION),
         inputs={"eps_big": eps_big, "eps_small": eps_small, "n_paths": n_paths,
                 "worst_violation": worst, "points_checked": total, "model": model.name},
         seed=seed,
@@ -328,11 +313,9 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     _check_ladder("eps_ladder", eps_ladder)
     _check_n_paths(n_paths)
     eps_ladder = sorted(eps_ladder, reverse=True)
-    h = np.asarray(h, float)
-    plan = NoisePlan(seed)
-    streams = np.arange(n_paths)
     n_eps = len(eps_ladder)
-    U = [np.broadcast_to(h[:, None, None], (grid.n_space, n_eps + 1, n_paths)).copy()]
+    u0, streams, noise = _eps_slab(h, grid, n_eps + 1, n_paths, seed)
+    U = [u0]
     qs = [grid.dt / e for e in eps_ladder]
     sup_dist = np.zeros((n_eps, n_paths))
     ledger = ReflectionLedger.empty((grid.n_space, n_paths))
@@ -346,8 +329,7 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         return V
 
     pairs = [(j, n_eps) for j in range(n_eps)]
-    for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
-                       grid.n_steps, model, grid, streams):
+    for _ in _lockstep(U, [stage], noise, grid.n_steps, model, grid, streams):
         min_reflected = min(min_reflected, float(np.min(U[0][:, n_eps, :])))
         _track_sup(sup_dist, U[0], pairs)
     stats = [_mean_se(sup_dist[j]) for j in range(n_eps)]
@@ -360,7 +342,6 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
         lhs=means[-1],
         rhs=means[0],
         std_errors={f"eps={e:g}": se for e, (_, se) in zip(eps_ladder, stats)},
-        margin_ratio=_margin(means[-1], means[0]),
         inputs={"eps_ladder": list(eps_ladder), "sup_distances": means,
                 "reflected_min": min_reflected, "n_paths": n_paths, "model": model.name,
                 "ledger_total": ledger.total,

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from rspde import semigroup
+from rspde import semigroup, verify
 from rspde.cli import _write_csv, cmd_bounds, main
 from rspde.config import (
     ConfigError,
@@ -358,12 +358,19 @@ def _set(block, key, value):
     (["check", "gradient"],
      _set("check", "functional", {**FUNCTIONAL, "direction_modes": [1.0, math.nan]}),
      "check.functional.direction_modes[1]"),
+    # the missing point used to default to h = 0 and the check ran (and passed)
+    (["check", "log-harnack"], _set("check", "functional", {**FUNCTIONAL, "lo": 0.1}),
+     "check.h1_modes"),
+    (["check", "log-harnack"], lambda cfg: cfg["check"].update(
+        h1_modes=[0.5], functional={**FUNCTIONAL, "lo": 0.1}), "check.h2_modes"),
+    (["check", "continuity"], _set("check", "h1_modes", [0.5]), "check.h2_modes"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
         "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry",
         "run-eps-infinity", "eps-big-infinity", "t-infinity", "functional-hi-infinity",
-        "model-param-infinity", "direction-modes-nan"])
+        "model-param-infinity", "direction-modes-nan", "log-harnack-h-modes-only",
+        "log-harnack-h1-modes-only", "continuity-h1-modes-only"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:
@@ -396,6 +403,36 @@ def test_out_of_range_constant_exit_1_before_any_ensemble(tmp_path, capsys, monk
         assert captured.out == "" and passes == []
         assert message in captured.err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("name", ["continuity", "comparison"])
+def test_debug_scale_m_on_check_without_m_exit_1(tmp_path, capsys, name):
+    # these checks take no M; the flag used to be ignored and the check passed
+    cfg = small_check_config(h1_modes=[0.5], h2_modes=[0.4])
+    path = write_config(tmp_path, cfg)
+    assert main(["check", name, "--config", path, "--debug-scale-m", "1e-6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--debug-scale-m" in captured.err
+
+
+@pytest.mark.parametrize("name, attr", [
+    ("gradient", "check_gradient_estimate"), ("log-harnack", "check_log_harnack"),
+    ("variance", "check_variance_bound"), ("lipschitz", "check_lipschitz_Pt")])
+def test_bound_check_runs_the_verify_attribute(tmp_path, capsys, monkeypatch, name, attr):
+    # the dispatch table used to hold the functions themselves, so a wrapper
+    # bound on rspde.verify (the benchmark tracer's span) never ran
+    calls = []
+    original = getattr(verify, attr)
+
+    def spy(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, attr, spy)
+    path = write_config(tmp_path, bound_check_config(name, 1.0))
+    assert main(["check", name, "--config", path]) == 0
+    assert calls == [attr]
+    assert capsys.readouterr().out.startswith(f"{name}: PASS")
 
 
 @pytest.mark.parametrize("name", ["lipschitz", "log-harnack"])

@@ -363,6 +363,10 @@ def test_report_json_keys_and_verdict(tiny, name):
     # the written report: every field by name, with verdict in place of passed
     report = SEVEN_CHECKS[name](*tiny)
     assert report.check == name
+    lhs, rhs = report.lhs, report.rhs
+    assert report.margin_ratio == (math.inf if lhs == 0 else abs(rhs) / abs(lhs))
+    if name in ("gradient", "log-harnack", "variance", "lipschitz"):
+        assert {"t", "n_paths", "model", "m_scale"} <= report.inputs.keys()
     for passed in (report.passed, not report.passed):
         report.passed = passed
         blob = report.to_json()
@@ -391,6 +395,18 @@ def test_bound_check_rejects_t_before_any_run(tiny, monkeypatch, check, n_fields
     phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
     with pytest.raises(ValueError, match="t must be > 0"):
         check(phi, *[h] * n_fields, t, "reflected", model, grid, 8, seed=1)
+
+
+@pytest.mark.parametrize("m_scale", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("check, n_fields", BOUND_CHECKS, ids=lambda v: getattr(v, "__name__", v))
+def test_bound_check_rejects_m_scale_before_any_run(tiny, monkeypatch, check, n_fields, m_scale):
+    # m_scale = -1 used to give verdicts on a negative bound (lipschitz passed),
+    # and m_scale = 0 passed all four on a zero bound
+    grid, model, e1, h = tiny
+    monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    with pytest.raises(ValueError, match="m_scale must be > 0"):
+        check(phi, *[h] * n_fields, 0.1, "reflected", model, grid, 8, seed=1, m_scale=m_scale)
 
 
 @pytest.mark.parametrize("check, n_fields", BOUND_CHECKS, ids=lambda v: getattr(v, "__name__", v))
