@@ -142,7 +142,7 @@ def validate_config(cfg: dict) -> None:
     if mode == "penalized":
         _need(r, "run", "eps", (int, float), lambda v: v > 0, "> 0")
     _need(r, "run", "n_paths", int, lambda v: v >= 1, "integer >= 1")
-    _need(r, "run", "seed", int, lambda v: v >= 0, "integer >= 0")
+    _need(r, "run", "seed", int, lambda v: 0 <= v < 2 ** 64, "integer in [0, 2**64)")
     if "save_at" in r:
         if not isinstance(r["save_at"], list) or not all(_is_number(v) for v in r["save_at"]):
             raise ConfigError("run.save_at: must be a list of times")
@@ -166,6 +166,8 @@ def validate_config(cfg: dict) -> None:
         for key in ("eps_big", "eps_small"):
             if key in c:
                 _need(c, "check", key, (int, float), lambda v: v > 0, "> 0")
+        if "eps_small" in c and "eps_big" in c and not c["eps_small"] < c["eps_big"]:
+            raise ConfigError(f"check.eps_small: must be < check.eps_big = {c['eps_big']!r}")
         if "functional" in c:
             f = c["functional"]
             if not isinstance(f, dict) or "kind" not in f:

@@ -228,11 +228,8 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     is bitwise identical to a single solve_path run with the same stream id,
     except under the ``arctan_square`` penalty (see the ``solver`` module).
     """
-    H = np.atleast_2d(np.asarray(h_variants, dtype=float))
+    H = _check_run(np.atleast_2d(h_variants), mode, eps, grid)
     V, n = H.shape
-    if n != grid.n_space:
-        raise ValueError(f"variant fields have {n} nodes, expected {grid.n_space}")
-    _check_run(H, mode, eps)
     if n_run_steps > grid.n_steps:
         raise ValueError("n_run_steps exceeds grid.n_steps")
     pairs = list(track_sup_pairs or [])
@@ -302,9 +299,7 @@ def _check_estimator(phi: Functional, h, mode, eps, grid: SpaceTimeGrid, n_paths
     _check_n_paths(n_paths)
     if len(phi.phi) != grid.n_space:
         raise ValueError(f"phi has {len(phi.phi)} nodes, the grid has {grid.n_space}")
-    h = np.asarray(h, float)
-    _check_run(h, mode, eps)
-    return h
+    return _check_run(h, mode, eps, grid)
 
 
 def _estimate(phi, per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps,

@@ -6,7 +6,8 @@ for each field drift + noise and the implicit half-Laplacian solve
 or the projection ``_project``) and a finite check (``_check_finite``).
 Besides ``solve_path`` and ``solve_tangent``, ``semigroup``'s ensemble
 chunks and ``verify``'s eps experiments use it on fields of shape
-(n_space, ..., n_paths), with noise and stages of their own.
+(n_space, ..., n_paths), with noise and stages of their own.  Every run
+checks its start field with ``_check_run`` first.
 
 The drift + noise stage, the solve and the projection act per column, so
 reflected and ``negative_part`` penalized runs match single-path runs
@@ -17,7 +18,8 @@ result depends on the other columns of that slab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -88,13 +90,12 @@ class ReflectionLedger:
 
 @dataclass
 class Trajectory:
-    """Snapshots of one run plus enough metadata to regenerate it."""
+    """Snapshots of one run: the save times, the field at each (one row per
+    time) and, for a reflected path, its reflection ledger."""
 
     times: np.ndarray
     fields: np.ndarray
-    initial: np.ndarray
-    ledger: ReflectionLedger | None
-    meta: dict = field(default_factory=dict)
+    ledger: ReflectionLedger | None = None
 
     def at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -230,22 +231,29 @@ def _lockstep(fields, stages, noise, n_steps, model, grid, streams):
 # full paths
 # ---------------------------------------------------------------------------
 
-def _check_run(h, mode, eps):
+def _check_run(h, mode, eps, grid: SpaceTimeGrid) -> np.ndarray:
     """The rules of every run: a known mode, eps > 0 when penalized and an
-    entrywise nonnegative initial field (or stack of fields)."""
+    entrywise nonnegative start field of shape (n_space,) or (V, n_space).
+    Returns the field as floats."""
     if mode not in ("penalized", "reflected"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "penalized" and (eps is None or eps <= 0):
         raise ValueError("penalized mode needs eps > 0")
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != grid.n_space:
+        raise ValueError(f"initial field has shape {h.shape}, "
+                         f"expected (V, {grid.n_space}) or ({grid.n_space},)")
     if np.any(h < 0.0):
         raise ValueError("initial field must be entrywise >= 0")
+    return h
 
 
-def _resolve_save_steps(grid: SpaceTimeGrid, save_at) -> list[int]:
-    if save_at is None:
-        return [grid.n_steps]
-    steps = sorted({grid.step_of(t) for t in save_at})
-    return steps or [grid.n_steps]
+def _snapshots(grid: SpaceTimeGrid, save_at, steps):
+    """(times, fields) at the save times (default t_final; ``save_at`` may be an
+    array), from ``steps``, an iterator of (m, field at step m) from m = 0."""
+    save = sorted({grid.step_of(t) for t in (() if save_at is None else save_at)}) or [grid.n_steps]
+    kept = {m: u.copy() for m, u in steps if m in save}
+    return np.array([m * grid.dt for m in save]), np.stack([kept[m] for m in save])
 
 
 def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
@@ -255,69 +263,56 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     ``mode`` is "penalized" (requires eps) or "reflected".  The output is a
     pure function of (master_seed, stream_id, grid, model, eps, h).
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (grid.n_space,):
+    h = _check_run(h, mode, eps, grid)
+    if h.ndim != 1:
         raise ValueError(f"h has shape {h.shape}, expected ({grid.n_space},)")
-    _check_run(h, mode, eps)
     ledger = ReflectionLedger.empty(h.shape, record_full_ledger) if mode == "reflected" else None
     stage = ((lambda v: _project(v, grid, ledger)) if ledger is not None
              else (lambda v: penalty_resolvent(v, grid.dt / eps, model.penalty_kind)))
-
-    save_steps = _resolve_save_steps(grid, save_at)
-    u = [h.copy()]
-    snapshots = {0: h.copy()} if 0 in save_steps else {}
-    for m, _ in _lockstep(u, [stage], lambda m: sample_increments(plan, grid, m),
-                          grid.n_steps, model, grid, [plan.stream_id]):
-        if m in save_steps:
-            snapshots[m] = u[0].copy()
-
-    times = np.array([s * grid.dt for s in save_steps])
-    fields = np.stack([snapshots[s] for s in save_steps])
-    meta = {"mode": mode, "eps": eps, "master_seed": plan.master_seed,
-            "stream_id": plan.stream_id}
-    return Trajectory(times=times, fields=fields, initial=h.copy(), ledger=ledger, meta=meta)
+    u = [h]
+    steps = ((m, u[0]) for m, _ in _lockstep(u, [stage], lambda m: sample_increments(plan, grid, m),
+                                             grid.n_steps, model, grid, [plan.stream_id]))
+    return Trajectory(*_snapshots(grid, save_at, chain([(0, h)], steps)), ledger)
 
 
-def solve_tangent(u_path: Trajectory, k, model: CoefficientModel,
-                  grid: SpaceTimeGrid) -> Trajectory:
-    """Integrate the derivative flow along the stored penalized path.
+def solve_tangent(h, k, mode, model: CoefficientModel, grid: SpaceTimeGrid, plan: NoisePlan,
+                  save_at=None, eps=None) -> Trajectory:
+    """Integrate the derivative flow in direction k (h's shape) along the
+    penalized path that ``solve_path`` takes with the same arguments.
 
-    eps and the noise plan come from ``u_path.meta``.  The base path is
-    regenerated from (initial, plan) through the stepper -- by determinism
-    this reproduces u_path exactly -- and after each step the linearized
-    update takes the same noise block and the base field before and after
-    it.  The result is the exact derivative of the discrete one-step map,
-    with the penalty stage differentiated through the resolvent.  A
-    non-finite base or tangent field raises BlowUpError.
+    The base path runs through the stepper alongside, and after each step
+    the linearized update takes the same noise block and the base field
+    before and after it.  The result is the exact derivative of the
+    discrete one-step map, with the penalty stage differentiated through
+    the resolvent; snapshots as in ``solve_path``, no ledger.  A non-finite
+    base or tangent field raises BlowUpError.
     """
     if not model.differentiable:
         raise UnsupportedModelError(
             f"model {model.name!r} has no declared derivatives; tangent flow unavailable"
         )
-    meta = u_path.meta
-    if meta.get("mode") != "penalized":
+    if mode == "reflected":
         raise ValueError("tangent flow is defined along penalized paths")
-    plan = NoisePlan(meta["master_seed"], meta["stream_id"])
+    h = _check_run(h, mode, eps, grid)
     k = np.asarray(k, dtype=float)
+    if h.ndim != 1 or k.shape != h.shape:
+        raise ValueError(f"h and k have shapes {h.shape} and {k.shape}, expected ({grid.n_space},)")
     solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
-    q = grid.dt / meta["eps"]
-    save_steps = [grid.step_of(t) for t in u_path.times]
-    snapshots = {0: k.copy()} if 0 in save_steps else {}
-    u = [u_path.initial.copy()]
-    u_prev, v = u[0], k.copy()
-    for m, dW in _lockstep(u, [lambda w: penalty_resolvent(w, q, model.penalty_kind)],
-                           lambda m: sample_increments(plan, grid, m), grid.n_steps,
-                           model, grid, [plan.stream_id]):
-        w_v = v + grid.dt * model.db(u_prev) * v + model.dsigma(u_prev) * v * (dW / grid.dx)
-        v_new = solver.solve(w_v) * penalty_resolvent_deriv(u[0], q, model.penalty_kind)
-        _check_finite(v_new, v, m - 1, [plan.stream_id])
-        u_prev, v = u[0], v_new
-        if m in save_steps:
-            snapshots[m] = v.copy()
-    times = np.array([s * grid.dt for s in save_steps])
-    fields = np.stack([snapshots[s] for s in save_steps])
-    return Trajectory(times=times, fields=fields, initial=k.copy(), ledger=None,
-                      meta=dict(meta, mode="tangent"))
+    q = grid.dt / eps
+
+    def flow():
+        u, u_prev, v = [h], h, k
+        yield 0, k
+        for m, dW in _lockstep(u, [lambda w: penalty_resolvent(w, q, model.penalty_kind)],
+                               lambda m: sample_increments(plan, grid, m), grid.n_steps,
+                               model, grid, [plan.stream_id]):
+            w_v = v + grid.dt * model.db(u_prev) * v + model.dsigma(u_prev) * v * (dW / grid.dx)
+            v_new = solver.solve(w_v) * penalty_resolvent_deriv(u[0], q, model.penalty_kind)
+            _check_finite(v_new, v, m - 1, [plan.stream_id])
+            u_prev, v = u[0], v_new
+            yield m, v
+
+    return Trajectory(*_snapshots(grid, save_at, flow()))
 
 
 def deterministic_obstacle(v, grid: SpaceTimeGrid):

@@ -29,7 +29,7 @@ from .semigroup import (
     estimate_variance,
     run_ensemble,
 )
-from .solver import ReflectionLedger, _lockstep, _project, penalty_resolvent
+from .solver import ReflectionLedger, _check_run, _lockstep, _project, penalty_resolvent
 
 __all__ = [
     "CheckReport",
@@ -161,8 +161,8 @@ def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,
 
     The log of the h2-side mean gets a delta-method standard error.
     """
-    h1 = np.asarray(h1, float)
-    h2 = np.asarray(h2, float)
+    h1 = _check_run(h1, mode, eps, grid)
+    h2 = _check_run(h2, mode, eps, grid)
     dist2 = float(l2_norm(h1 - h2, grid.dx)) ** 2
     additive = _bound_factor("log-harnack", t, model, m_scale, lambda p: (
         m_scale * harnack_rhs(t, dist2, p, model.kappa1) if dist2 > 0 else 0.0))
@@ -218,10 +218,10 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     (a convex combination, so it stays in the cone); all runs share noise.  Passes when the ratio
     estimate / |h1-h2_s|_inf^p varies by less than 2x across the ladder.
     """
-    h1 = np.asarray(h1, float)
-    h2 = np.asarray(h2, float)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    h1 = _check_run(h1, mode, eps, grid)
+    h2 = _check_run(h2, mode, eps, grid)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
     _check_ladder("ladder", ladder)
     if any(s > 1 for s in ladder):
         raise ValueError(f"ladder rungs must lie in (0, 1], got {list(ladder)}")
@@ -253,11 +253,12 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
 
 
 def _eps_slab(h, grid: SpaceTimeGrid, n_variants: int, n_paths: int, seed: int):
-    """The eps experiments' start: h copied to shape (n_space, n_variants, n_paths),
-    the streams 0..n_paths-1, and their noise callable m -> (n_space, 1, n_paths)."""
-    plan = NoisePlan(seed)
-    streams = np.arange(n_paths)
-    u0 = np.broadcast_to(np.asarray(h, float)[:, None, None], (grid.n_space, n_variants, n_paths))
+    """The eps experiments' start: h under the run rules (each experiment checks its
+    own eps), copied to shape (n_space, n_variants, n_paths), the streams
+    0..n_paths-1, and their noise callable m -> (n_space, 1, n_paths)."""
+    h = _check_run(h, "reflected", None, grid)
+    plan, streams = NoisePlan(seed), np.arange(n_paths)
+    u0 = np.broadcast_to(h[:, None, None], (grid.n_space, n_variants, n_paths))
     return u0.copy(), streams, lambda m: increments_matrix(plan, grid, m, streams)[:, None, :]
 
 

@@ -364,13 +364,20 @@ def _set(block, key, value):
     (["check", "log-harnack"], lambda cfg: cfg["check"].update(
         h1_modes=[0.5], functional={**FUNCTIONAL, "lo": 0.1}), "check.h2_modes"),
     (["check", "continuity"], _set("check", "h1_modes", [0.5]), "check.h2_modes"),
+    # the noise key is the seed mod 2^64: this seed gave seed 5's numbers
+    (["check", "variance"], _set("run", "seed", 2**64 + 5), "run.seed"),
+    (["converge-eps", "--seed", str(2**64)], None, "run.seed"),
+    # a reversed pair failed at run time with a message that named no field
+    (["check", "comparison"], lambda cfg: cfg["check"].update(eps_big=1e-3, eps_small=1e-2),
+     "check.eps_small"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
         "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry",
         "run-eps-infinity", "eps-big-infinity", "t-infinity", "functional-hi-infinity",
         "model-param-infinity", "direction-modes-nan", "log-harnack-h-modes-only",
-        "log-harnack-h1-modes-only", "continuity-h1-modes-only"])
+        "log-harnack-h1-modes-only", "continuity-h1-modes-only", "seed-2-pow-64-plus-5",
+        "seed-override-2-pow-64", "eps-small-above-eps-big"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:

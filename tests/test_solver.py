@@ -256,15 +256,19 @@ class TestSolveTangent:
         base = solve_path(h, "penalized", model, grid, plan, save_at=[0.25], eps=1e-3)
         return grid, model, h, plan, base
 
+    @staticmethod
+    def tangent(h, k, model, grid, plan, eps=1e-3):
+        return solve_tangent(h, k, "penalized", model, grid, plan, save_at=[0.25], eps=eps)
+
     def test_zero_direction_stays_zero(self, setup):
         grid, model, h, plan, base = setup
-        tang = solve_tangent(base, np.zeros(grid.n_space), model, grid)
+        tang = self.tangent(h, np.zeros(grid.n_space), model, grid, plan)
         assert np.array_equal(tang.fields, np.zeros_like(tang.fields))
 
     def test_nonnegative_direction_stays_nonnegative(self, setup):
         grid, model, h, plan, base = setup
         k = nonneg_first_mode(grid)
-        tang = solve_tangent(base, k, model, grid)
+        tang = self.tangent(h, k, model, grid, plan)
         tol = 5.0 * (grid.dt + grid.dx**2) * float(np.max(np.abs(tang.fields)))
         assert float(np.min(tang.fields)) >= -tol
 
@@ -272,17 +276,17 @@ class TestSolveTangent:
         grid, model, h, plan, base = setup
         basis = spectral_basis(grid.n_space)
         k1, k2 = basis.modes[0], basis.modes[1]
-        t1 = solve_tangent(base, k1, model, grid)
-        t2 = solve_tangent(base, k2, model, grid)
-        t12 = solve_tangent(base, k1 + k2, model, grid)
+        t1 = self.tangent(h, k1, model, grid, plan)
+        t2 = self.tangent(h, k2, model, grid, plan)
+        t12 = self.tangent(h, k1 + k2, model, grid, plan)
         scale = np.max(np.abs(t12.fields))
         assert np.max(np.abs(t12.fields - (t1.fields + t2.fields))) < 1e-10 * scale
 
     def test_positive_homogeneity_exact(self, setup):
         grid, model, h, plan, base = setup
         k = spectral_basis(grid.n_space).modes[0]
-        t1 = solve_tangent(base, k, model, grid)
-        t2 = solve_tangent(base, 2.0 * k, model, grid)
+        t1 = self.tangent(h, k, model, grid, plan)
+        t2 = self.tangent(h, 2.0 * k, model, grid, plan)
         assert np.array_equal(t2.fields, 2.0 * t1.fields)
 
     def test_matches_coupled_finite_difference(self, setup):
@@ -294,49 +298,73 @@ class TestSolveTangent:
             b0 = solve_path(h, "penalized", model, grid, p, save_at=[0.25], eps=1e-3)
             b1 = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, p,
                             save_at=[0.25], eps=1e-3)
-            tang = solve_tangent(b0, k, model, grid)
+            tang = self.tangent(h, k, model, grid, p)
             fd = (b1.at(0.25) - b0.at(0.25)) / delta
             rel = l2_norm(tang.at(0.25) - fd, grid.dx) / l2_norm(tang.at(0.25), grid.dx)
             assert rel < 0.01
 
     def test_reads_eps_and_plan_from_path(self, setup):
+        # the tangent runs along the path solve_path takes with its arguments:
+        # eps 1e-2 and plan (3, 2) here, not the fixture's
         grid, model, h, _, _ = setup
         k = spectral_basis(grid.n_space).modes[0]
         delta, plan = 1e-4, NoisePlan(3, 2)
         base = solve_path(h, "penalized", model, grid, plan, save_at=[0.25], eps=1e-2)
         bumped = solve_path(np.maximum(h + delta * k, 0.0), "penalized", model, grid, plan,
                             save_at=[0.25], eps=1e-2)
-        tang = solve_tangent(base, k, model, grid)
-        assert set(base.meta) == {"mode", "eps", "master_seed", "stream_id"}
-        assert tang.meta == dict(base.meta, mode="tangent")
+        tang = self.tangent(h, k, model, grid, plan, eps=1e-2)
         fd = (bumped.at(0.25) - base.at(0.25)) / delta
         assert l2_norm(tang.at(0.25) - fd, grid.dx) < 0.01 * l2_norm(tang.at(0.25), grid.dx)
+
+    def test_snapshots_match_solve_path_times(self, setup):
+        # one snapshot rule: the same save times (an array, unsorted, with a
+        # repeat and t = 0) give the same times; at t = 0 the tangent is k
+        grid, model, h, plan, _ = setup
+        k = spectral_basis(grid.n_space).modes[0]
+        save_at = np.array([0.25, 0.0, 0.1, 0.1])
+        base = solve_path(h, "penalized", model, grid, plan, save_at=save_at, eps=1e-3)
+        tang = solve_tangent(h, k, "penalized", model, grid, plan, save_at=save_at, eps=1e-3)
+        assert np.array_equal(tang.times, base.times) and len(base.times) == 3
+        assert np.array_equal(base.at(0.0), h) and np.array_equal(tang.at(0.0), k)
+        assert tang.ledger is None
 
     def test_rejects_nondifferentiable_model(self, setup):
         grid, model, h, plan, base = setup
         from rspde.coefficients import affine_clamped_model
 
         clamped = affine_clamped_model()
-        base2 = solve_path(h, "penalized", clamped, grid, plan, save_at=[0.25], eps=1e-3)
         with pytest.raises(UnsupportedModelError):
-            solve_tangent(base2, h, clamped, grid)
+            self.tangent(h, h, clamped, grid, plan)
 
     def test_rejects_reflected_base_path(self, setup):
         grid, model, h, plan, _ = setup
-        refl = solve_path(h, "reflected", model, grid, plan, save_at=[0.25])
-        with pytest.raises(ValueError):
-            solve_tangent(refl, h, model, grid)
+        with pytest.raises(ValueError, match="tangent flow is defined along penalized paths"):
+            solve_tangent(h, h, "reflected", model, grid, plan, save_at=[0.25])
+
+    @pytest.mark.parametrize("n_k", [62, 64])
+    def test_rejects_k_of_another_length(self, setup, n_k):
+        # k used to be read unchecked against the base path's initial field
+        grid, model, h, plan, _ = setup
+        with pytest.raises(ValueError, match=rf"h and k have shapes \(63,\) and \({n_k},\)"):
+            self.tangent(h, np.ones(n_k), model, grid, plan)
+
+    def test_checks_h_by_the_run_rules(self, setup):
+        grid, model, h, plan, _ = setup
+        with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
+            self.tangent(h - 0.5, h, model, grid, plan)
+        with pytest.raises(ValueError, match=r"initial field has shape \(5,\)"):
+            self.tangent(h[:5], h[:5], model, grid, plan)
+        with pytest.raises(ValueError, match="penalized mode needs eps > 0"):
+            solve_tangent(h, h, "penalized", model, grid, plan)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("blown", ["tangent", "base"])
     def test_blow_up_reports_step_and_stream(self, blown):
         # an infinite drift slope blows up the tangent field; an infinite
-        # drift blows up the regenerated base field, which is checked too
+        # drift blows up the base field, which is checked too
         grid = make_grid(7, 0.1, 0.3)
         h, k = np.full(7, 0.5), np.full(7, 2.0)
-        base = solve_path(h, "penalized", constant_model(0.0, 0.0), grid, NoisePlan(1, 3),
-                          eps=1e-2)
         inf, zero = (lambda u: np.full_like(u, np.inf)), np.zeros_like
         model = CoefficientModel(
             name="explosive", b=inf if blown == "base" else zero, sigma=zero,
@@ -344,7 +372,7 @@ class TestSolveTangent:
             db=zero if blown == "base" else inf, dsigma=zero,
         )
         with pytest.raises(BlowUpError) as exc:
-            solve_tangent(base, k, model, grid)
+            solve_tangent(h, k, "penalized", model, grid, NoisePlan(1, 3), eps=1e-2)
         assert (exc.value.step, exc.value.stream) == (0, 3)
         assert exc.value.max_abs == (0.5 if blown == "base" else 2.0)  # the initial field
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rspde import semigroup
+from rspde import semigroup, verify
 from rspde.coefficients import BoundProfile, constant_model, standard_model, zeta
 from rspde.grid_noise import NoisePlan, increments_matrix, make_grid
 from rspde.heat import spectral_basis
@@ -256,6 +256,14 @@ class TestContinuityCheck:
         assert report.passed
         assert max(ratios) - min(ratios) < 1e-12
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_p_must_be_finite(self, lab, monkeypatch, p):
+        # p = nan gave a FAIL verdict with lhs nan; p = inf a divide warning
+        grid, model, _, h, _ = lab
+        monkeypatch.setattr(verify, "run_ensemble", _no_run)
+        with pytest.raises(ValueError, match=f"p must be finite and >= 1, got {p}"):
+            check_initial_continuity(h, 0.5 * h, p, "reflected", model, grid, 4, seed=1)
+
     def test_standard_model_ladder(self, lab):
         grid, model, _, h, _ = lab
         h2 = h + 0.1 * np.sin(np.pi * grid.x)
@@ -327,6 +335,37 @@ class TestEpsExperiments:
             check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1)
         for exc in (mono, conv):
             assert (exc.value.step, exc.value.stream) == (0, 0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, model, grid: check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, 4, seed=1),
+    lambda h, model, grid: check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1),
+], ids=["monotonicity", "convergence"])
+def test_eps_experiments_check_the_start_field(tiny, run):
+    # a negative start used to run and PASS; a 5-node one failed in numpy's broadcast
+    grid, model, _, h = tiny
+    with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
+        run(h - 0.5, model, grid)
+    with pytest.raises(ValueError, match=r"initial field has shape \(5,\), expected \(V, 15\)"):
+        run(h[:5], model, grid)
+
+
+def test_two_point_checks_check_each_point_before_any_run(tiny, monkeypatch):
+    # a 1-node h2 used to fail only after log-harnack's whole h1 pass, and
+    # continuity broadcast it to a constant field and passed
+    grid, model, e1, h = tiny
+    passes = []
+    monkeypatch.setattr(semigroup, "run_ensemble", lambda *a, **k: passes.append(a))
+    monkeypatch.setattr(verify, "run_ensemble", lambda *a, **k: passes.append(a))
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    for h1, h2 in [(h, h[:1]), (h[:1], h)]:
+        with pytest.raises(ValueError, match=r"initial field has shape \(1,\)"):
+            check_log_harnack(phi, h1, h2, 0.1, "reflected", model, grid, 8, seed=1)
+        with pytest.raises(ValueError, match=r"initial field has shape \(1,\)"):
+            check_initial_continuity(h1, h2, 2.0, "reflected", model, grid, 8, seed=1)
+    with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
+        check_log_harnack(phi, h, h - 0.5, 0.1, "reflected", model, grid, 8, seed=1)
+    assert passes == []
 
 
 @pytest.fixture(scope="module")
