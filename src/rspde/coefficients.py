@@ -74,7 +74,8 @@ class CoefficientModel:
 # The catalogue's b and sigma compute in one output array, applying the
 # operations of the closed form in the docstring in that order, so each
 # entry comes out bit for bit as the closed form gives it.  The input is
-# only read.
+# only read, and the output is fresh, so the stepper may overwrite it
+# (docs/catalogue.md, "What b and sigma may return").
 
 def _clipped_affine(u, slope, shift, lo, hi):
     """clip(slope * u + shift, lo, hi)."""

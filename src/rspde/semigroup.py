@@ -228,22 +228,28 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     is bitwise identical to a single solve_path run with the same stream id,
     except under the ``arctan_square`` penalty (see the ``solver`` module).
     """
-    H = _check_run(np.atleast_2d(h_variants), mode, eps, grid)
+    H = _check_run(np.atleast_2d(h_variants), mode, eps, grid, stack=True)
     V, n = H.shape
-    if n_run_steps > grid.n_steps:
-        raise ValueError("n_run_steps exceeds grid.n_steps")
+    if not 0 <= n_run_steps <= grid.n_steps:
+        raise ValueError(f"n_run_steps must lie in [0, grid.n_steps = {grid.n_steps}], "
+                         f"got {n_run_steps!r}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    if not 0 <= stream_offset <= 2**64 - n_paths:
+        raise ValueError(f"stream ids stream_offset + [0, n_paths) must lie in [0, 2**64), "
+                         f"got stream_offset={stream_offset!r}, n_paths={n_paths!r}")
     pairs = list(track_sup_pairs or [])
 
     plan = NoisePlan(seed)
     q = grid.dt / eps if mode == "penalized" else 0.0
-    stage = ((lambda v: penalty_resolvent(v, q, model.penalty_kind)) if mode == "penalized"
+    stage = ((lambda v: penalty_resolvent(v, q, model.penalty_kind, out=v)) if mode == "penalized"
              else (lambda v: _project(v, grid)))
 
     out = np.empty((V, n, n_paths))
     sup_out = np.zeros((len(pairs), n_paths))
 
     def do_chunk(lo: int, hi: int):
-        streams = np.arange(lo, hi) + stream_offset
+        streams = np.arange(lo, hi, dtype=np.uint64) + np.uint64(stream_offset)
         U = [np.broadcast_to(H.T[:, :, None], (n, V, hi - lo)).copy()]
         sup = sup_out[:, lo:hi]
         _track_sup(sup, U[0], pairs)

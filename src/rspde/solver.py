@@ -7,7 +7,10 @@ or the projection ``_project``) and a finite check (``_check_finite``).
 Besides ``solve_path`` and ``solve_tangent``, ``semigroup``'s ensemble
 chunks and ``verify``'s eps experiments use it on fields of shape
 (n_space, ..., n_paths), with noise and stages of their own.  Every run
-checks its start field with ``_check_run`` first.
+checks its start field with ``_check_run`` first.  A step holds three
+field-sized arrays: the field, the drift sum formed in what ``b`` returned
+and the noise term in what ``sigma`` returned; the solve and the stage
+act in place.
 
 The drift + noise stage, the solve and the projection act per column, so
 reflected and ``negative_part`` penalized runs match single-path runs
@@ -23,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .coefficients import CoefficientModel
+from .coefficients import _PENALTIES, CoefficientModel
 from .grid_noise import NoisePlan, SpaceTimeGrid, sample_increments
 from .heat import _cached_solver
 
@@ -119,41 +122,47 @@ def _arctan_square_slope(w, dt_over_eps):
     return 1.0 - dt_over_eps * 2.0 * w / (1.0 + w ** 4)
 
 
-def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str) -> np.ndarray:
-    """Solve u = v + (dt/eps) f(u) nodewise.
+def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str, out=None) -> np.ndarray:
+    """Solve u = v + (dt/eps) f(u) nodewise, into ``out`` (which may be v
+    itself) when given, else into a fresh array; returns the result.
 
     For f(u) = max(-u,0) the solve is closed form: u = v where v >= 0, else
     v/(1 + dt/eps).  For the arctan penalty a safeguarded Newton sweep runs
     to 1e-12 on the finite negative entries; non-finite entries pass through
     for the finite check to report.
     """
+    if kind not in _PENALTIES:
+        raise ValueError(f"unknown penalty kind {kind!r}")
+    if out is None:
+        out = np.array(v, dtype=float)
+    elif out is not v:
+        np.copyto(out, v)
     if kind == "negative_part":
-        return np.where(v >= 0.0, v, v / (1.0 + dt_over_eps))
-    if kind == "arctan_square":
-        u = np.array(v, dtype=float, copy=True)
-        neg = (v < 0.0) & np.isfinite(v)
-        if np.any(neg):
-            vn = v[neg]
-            # root lies in [vn, 0]; Newton with a bisection safeguard so the
-            # iteration cannot cycle when dt/eps is large
-            lo = vn.copy()
-            hi = np.zeros_like(vn)
-            un = 0.5 * (lo + hi)
-            for _ in range(300):
-                g = un - dt_over_eps * np.arctan(un * un) - vn
-                if np.max(np.abs(g) / (1.0 + np.abs(vn))) < 1e-12:
-                    break
-                np.copyto(lo, un, where=g < 0.0)
-                np.copyto(hi, un, where=g >= 0.0)
-                nxt = un - g / _arctan_square_slope(un, dt_over_eps)
-                outside = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
-                np.copyto(nxt, 0.5 * (lo + hi), where=outside)
-                un = nxt
-            else:
-                raise RuntimeError("arctan penalty resolvent did not converge")
-            u[neg] = un
-        return u
-    raise ValueError(f"unknown penalty kind {kind!r}")
+        below = np.greater_equal(out, 0.0)
+        np.logical_not(below, out=below)  # NaN takes the quotient, -0.0 stays
+        return np.divide(out, 1.0 + dt_over_eps, out=out, where=below)
+    neg = (out < 0.0) & np.isfinite(out)
+    if np.any(neg):
+        vn = out[neg]
+        # root lies in [vn, 0]; Newton with a bisection safeguard so the
+        # iteration cannot cycle when dt/eps is large
+        lo = vn.copy()
+        hi = np.zeros_like(vn)
+        un = 0.5 * (lo + hi)
+        for _ in range(300):
+            g = un - dt_over_eps * np.arctan(un * un) - vn
+            if np.max(np.abs(g) / (1.0 + np.abs(vn))) < 1e-12:
+                break
+            np.copyto(lo, un, where=g < 0.0)
+            np.copyto(hi, un, where=g >= 0.0)
+            nxt = un - g / _arctan_square_slope(un, dt_over_eps)
+            outside = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
+            np.copyto(nxt, 0.5 * (lo + hi), where=outside)
+            un = nxt
+        else:
+            raise RuntimeError("arctan penalty resolvent did not converge")
+        out[neg] = un
+    return out
 
 
 def penalty_resolvent_deriv(u_new: np.ndarray, dt_over_eps: float, kind: str) -> np.ndarray:
@@ -169,20 +178,38 @@ def penalty_resolvent_deriv(u_new: np.ndarray, dt_over_eps: float, kind: str) ->
     raise ValueError(f"unknown penalty kind {kind!r}")
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _handed_over(x, u):
+    """Whether the stepper may overwrite x, which b or sigma returned for u:
+    a writable float64 ndarray of u's shape that shares no memory with u.
+    Two distinct arrays that own their memory (no base) share none, which
+    spares the step the slower bounds check in the usual case."""
+    return (isinstance(x, np.ndarray) and x.shape == u.shape and x.dtype == _FLOAT64
+            and x.flags.writeable and x is not u
+            and ((x.base is None and u.base is None) or not np.may_share_memory(x, u)))
+
+
 def _drift_noise_solve(u, dW, model, grid):
     """Explicit drift + noise, then the implicit half-Laplacian solve.
 
     ``u`` has shape (n_space, ...) and ``dW`` holds cell increments that
     broadcast against it; every operation acts per column.  The value is
-    u + dt b(u) + sigma(u) (dW / dx), summed in that order into fresh
-    product arrays and solved in place; what ``model.b`` and
-    ``model.sigma`` return is only read, since a model may return ``u``.
+    u + dt b(u) + sigma(u) (dW / dx), summed in that order and solved in
+    place.  The drift terms are formed in the array ``model.b`` returned and
+    the noise term in the one ``model.sigma`` returned, when the model hands
+    over a fresh writable array of u's shape (``_handed_over``); anything
+    else (u itself, a view of it, a read-only or broadcast array, a scalar)
+    is only read, and the term goes to a fresh array.
     """
-    w = np.multiply(grid.dt, model.b(u), out=np.empty(np.shape(u)))
+    b = model.b(u)
+    w = np.multiply(grid.dt, b, out=b if _handed_over(b, u) else np.empty(u.shape))
     np.add(u, w, out=w)
-    noise = dW / grid.dx  # holds the noise term too when dW has u's shape
-    noise = np.multiply(model.sigma(u), noise, out=noise if noise.shape == w.shape else None)
-    np.add(w, noise, out=w)
+    s = model.sigma(u)
+    noise = dW / grid.dx
+    fresh = noise if noise.shape == u.shape else None  # dW of u's shape: reuse its quotient
+    np.add(w, np.multiply(s, noise, out=s if _handed_over(s, u) else fresh), out=w)
     return _cached_solver(grid.n_space, grid.dx, grid.dt).solve(w, out=w)
 
 
@@ -231,18 +258,21 @@ def _lockstep(fields, stages, noise, n_steps, model, grid, streams):
 # full paths
 # ---------------------------------------------------------------------------
 
-def _check_run(h, mode, eps, grid: SpaceTimeGrid) -> np.ndarray:
+def _check_run(h, mode, eps, grid: SpaceTimeGrid, stack: bool = False) -> np.ndarray:
     """The rules of every run: a known mode, eps > 0 when penalized and an
-    entrywise nonnegative start field of shape (n_space,) or (V, n_space).
-    Returns the field as floats."""
+    entrywise nonnegative start field.  A run from one start (``solve_path``,
+    ``solve_tangent``, the eps experiments, each point of the two-point
+    checks, the estimators) takes shape (n_space,); only ``run_ensemble``
+    takes a stack (V, n_space), with ``stack=True``.  Returns the field as
+    floats."""
     if mode not in ("penalized", "reflected"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "penalized" and (eps is None or eps <= 0):
         raise ValueError("penalized mode needs eps > 0")
     h = np.asarray(h, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[-1] != grid.n_space:
-        raise ValueError(f"initial field has shape {h.shape}, "
-                         f"expected (V, {grid.n_space}) or ({grid.n_space},)")
+    if h.ndim != (2 if stack else 1) or h.shape[-1] != grid.n_space:
+        expected = f"(V, {grid.n_space})" if stack else f"({grid.n_space},)"
+        raise ValueError(f"initial field has shape {h.shape}, expected {expected}")
     if np.any(h < 0.0):
         raise ValueError("initial field must be entrywise >= 0")
     return h
@@ -264,11 +294,9 @@ def solve_path(h, mode, model, grid, plan: NoisePlan, save_at=None, eps=None,
     pure function of (master_seed, stream_id, grid, model, eps, h).
     """
     h = _check_run(h, mode, eps, grid)
-    if h.ndim != 1:
-        raise ValueError(f"h has shape {h.shape}, expected ({grid.n_space},)")
     ledger = ReflectionLedger.empty(h.shape, record_full_ledger) if mode == "reflected" else None
     stage = ((lambda v: _project(v, grid, ledger)) if ledger is not None
-             else (lambda v: penalty_resolvent(v, grid.dt / eps, model.penalty_kind)))
+             else (lambda v: penalty_resolvent(v, grid.dt / eps, model.penalty_kind, out=v)))
     u = [h]
     steps = ((m, u[0]) for m, _ in _lockstep(u, [stage], lambda m: sample_increments(plan, grid, m),
                                              grid.n_steps, model, grid, [plan.stream_id]))
@@ -295,7 +323,7 @@ def solve_tangent(h, k, mode, model: CoefficientModel, grid: SpaceTimeGrid, plan
         raise ValueError("tangent flow is defined along penalized paths")
     h = _check_run(h, mode, eps, grid)
     k = np.asarray(k, dtype=float)
-    if h.ndim != 1 or k.shape != h.shape:
+    if k.shape != h.shape:
         raise ValueError(f"h and k have shapes {h.shape} and {k.shape}, expected ({grid.n_space},)")
     solver = _cached_solver(grid.n_space, grid.dx, grid.dt)
     q = grid.dt / eps

@@ -279,7 +279,7 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     u0, streams, noise = _eps_slab(h, grid, 1, n_paths, seed)
     fields = [u0, u0]  # [u_big, u_small]; the stepper replaces each, never writes into it
-    stages = [lambda v, q=grid.dt / e: penalty_resolvent(v, q, model.penalty_kind)
+    stages = [lambda v, q=grid.dt / e: penalty_resolvent(v, q, model.penalty_kind, out=v)
               for e in (eps_big, eps_small)]
     running_scale = np.maximum(np.max(np.abs(u0), axis=0), 1e-300)
     violations = 0
@@ -325,7 +325,8 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     def stage(V):
         """Each eps's resolvent on its slice; the last slice projected into the ledger."""
         for j, q in enumerate(qs):
-            V[:, j, :] = penalty_resolvent(V[:, j, :], q, model.penalty_kind)
+            v = V[:, j, :]
+            penalty_resolvent(v, q, model.penalty_kind, out=v)
         _project(V[:, n_eps, :], grid, ledger)
         return V
 

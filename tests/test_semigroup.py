@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rspde import semigroup
-from rspde.coefficients import CoefficientModel, constant_model, standard_model
+from rspde.coefficients import CoefficientModel, constant_model, sin_modulated_model, standard_model
 from rspde.grid_noise import NoisePlan, l2_norm, make_grid
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
@@ -181,15 +181,23 @@ class TestRunEnsemble:
             assert exc.value.step == 0
             assert exc.value.max_abs == np.max(h)
 
-    def test_model_returning_its_input_leaves_fields_intact(self, small):
-        # b and sigma may hand back the field they were given: the engine
-        # only reads what they return, so the run equals one with copies
+    @pytest.mark.parametrize("returned, copied", [
+        (lambda u: u, lambda u: u.copy()),
+        (lambda u: u[...], lambda u: u.copy()),
+        (lambda u: np.broadcast_to(u.max(axis=0), u.shape),
+         lambda u: np.broadcast_to(u.max(axis=0), u.shape).copy()),
+        (lambda u: 0.5, lambda u: np.full(u.shape, 0.5)),
+    ], ids=["itself", "view", "read-only-broadcast", "float"])
+    def test_model_returning_its_input_leaves_fields_intact(self, small, returned, copied):
+        # b and sigma may hand back u, a view of it, a read-only array or a
+        # scalar: the stepper only reads those, so the run equals one whose
+        # model returns fresh arrays, which the stepper may overwrite
         grid, _, _, h = small
         H = np.stack([h, 0.5 * h])
         kept = H.copy()
         same, copies = (CoefficientModel(name="identity", b=b, sigma=b, L_b=1.0, L_sigma=1.0,
                                          kappa1=0.5, kappa2=2.0)
-                        for b in (lambda u: u, lambda u: u.copy()))
+                        for b in (returned, copied))
         for mode, eps in (("reflected", None), ("penalized", 1e-2)):
             U = run_ensemble(H, grid.n_steps, mode, same, grid, seed=4, n_paths=5, eps=eps)
             assert H.tobytes() == kept.tobytes()
@@ -198,23 +206,59 @@ class TestRunEnsemble:
             path = solve_path(h, mode, same, grid, NoisePlan(4, 2), eps=eps)
             assert H[0].tobytes() == h.tobytes() == kept[0].tobytes()
             assert path.fields.tobytes() == U[0, :, 2].tobytes()
+            ref_path = solve_path(h, mode, copies, grid, NoisePlan(4, 2), eps=eps)
+            assert path.fields.tobytes() == ref_path.fields.tobytes()
 
-    def test_v16_pass_peak_memory(self, monkeypatch):
+    @pytest.mark.parametrize("mode, penalty", [("reflected", "negative_part"),
+                                               ("penalized", "negative_part"),
+                                               ("penalized", "arctan_square")],
+                             ids=["reflected", "negative_part", "arctan_square"])
+    def test_v16_pass_peak_memory(self, monkeypatch, mode, penalty):
         # one thread, 16 variants, one 256-stream chunk: besides its output
-        # the pass holds at most 4.5 arrays of the chunk's field size
+        # the pass holds at most 3.5 arrays of the chunk's field size (the
+        # field, the drift sum in b's array and the noise term in sigma's)
         monkeypatch.setenv("RSPDE_THREADS", "1")
         grid = make_grid(63, 2.5e-3, 0.25)
-        model = standard_model()
+        model = sin_modulated_model(penalty=penalty)
+        eps = 1e-3 if mode == "penalized" else None
         H = np.abs(np.random.default_rng(0).normal(size=(16, grid.n_space)))
-        run_ensemble(H, 1, "reflected", model, grid, seed=3, n_paths=256)  # warm the caches
+        run_ensemble(H, 1, mode, model, grid, seed=3, n_paths=256, eps=eps)  # warm the caches
         tracemalloc.start()
         try:
-            out = run_ensemble(H, 3, "reflected", model, grid, seed=3, n_paths=256)
+            out = run_ensemble(H, 3, mode, model, grid, seed=3, n_paths=256, eps=eps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         field_bytes = grid.n_space * 16 * 256 * 8
-        assert (peak - out.nbytes) / field_bytes <= 4.5
+        assert (peak - out.nbytes) / field_bytes <= 3.5
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"n_run_steps": -3}, "n_run_steps"),
+        ({"n_run_steps": 51}, "n_run_steps"),
+        ({"n_paths": 0}, "n_paths"),
+        ({"n_paths": -1}, "n_paths"),
+        ({"stream_offset": -1}, "stream_offset"),
+        ({"stream_offset": 2**64 - 4}, "stream_offset"),
+    ], ids=["steps-negative", "steps-beyond-grid", "paths-0", "paths-negative",
+            "offset-negative", "offset-past-2**64"])
+    def test_bad_run_arguments_named_before_any_chunk(self, small, monkeypatch, kwargs, name):
+        # n_run_steps=-3 used to return the start fields, n_paths=-1 failed in
+        # numpy and stream_offset=-1 ran stream 2**64-1
+        grid, model, _, h = small
+        chunks = []
+        monkeypatch.setattr(semigroup, "_lockstep", lambda *a: chunks.append(a) or iter(()))
+        args = {"n_run_steps": 3, "n_paths": 5, **kwargs}
+        with pytest.raises(ValueError, match=name):
+            run_ensemble(h, mode="reflected", model=model, grid=grid, seed=1, **args)
+        assert chunks == []
+
+    def test_last_streams_below_2_64_run(self, small):
+        grid, model, _, h = small
+        U = run_ensemble(h, 3, "reflected", model, grid, seed=1, n_paths=2,
+                         stream_offset=2**64 - 2)
+        path = solve_path(h, "reflected", model, grid, NoisePlan(1, 2**64 - 1),
+                          save_at=[3 * grid.dt])
+        assert np.array_equal(U[0, :, 1], path.fields[-1])
 
     def test_bad_thread_count_names_variable(self, small, monkeypatch):
         grid, model, _, h = small

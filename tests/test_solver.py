@@ -80,6 +80,26 @@ class TestPenaltyResolvent:
         deriv = penalty_resolvent_deriv(penalty_resolvent(v, q, kind), q, kind)
         assert np.allclose(deriv, diff, rtol=1e-5, atol=0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("kind", ["negative_part", "arctan_square"])
+    def test_out_equals_a_fresh_result_bitwise(self, kind):
+        # out=v resolves in place and out=other (a strided view here) takes
+        # the result; NaN, inf and -0.0 come out as in a fresh result, and
+        # the fresh call leaves v as it was
+        v = np.array([-0.5, -0.0, 0.0, 0.3, math.nan, -math.inf, math.inf, -2.0, -1e-300])
+        kept = v.copy()
+        fresh = penalty_resolvent(v, 50.0, kind)
+        assert v.tobytes() == kept.tobytes()
+        if kind == "negative_part":
+            assert fresh.tobytes() == np.where(v >= 0.0, v, v / 51.0).tobytes()
+        own = v.copy()
+        slab = np.zeros((v.size, 3))
+        col = slab[:, 1]
+        assert penalty_resolvent(own, 50.0, kind, out=own) is own
+        assert penalty_resolvent(v, 50.0, kind, out=col) is col
+        assert own.tobytes() == col.tobytes() == fresh.tobytes()
+        assert v.tobytes() == kept.tobytes() and not slab[:, [0, 2]].any()
+
     def test_derivative_convention_at_zero(self):
         d = penalty_resolvent_deriv(np.array([-1.0, 0.0, 1.0]), 4.0, "negative_part")
         assert np.array_equal(d, [0.2, 1.0, 1.0])

@@ -346,8 +346,35 @@ def test_eps_experiments_check_the_start_field(tiny, run):
     grid, model, _, h = tiny
     with pytest.raises(ValueError, match="initial field must be entrywise >= 0"):
         run(h - 0.5, model, grid)
-    with pytest.raises(ValueError, match=r"initial field has shape \(5,\), expected \(V, 15\)"):
+    with pytest.raises(ValueError, match=r"initial field has shape \(5,\), expected \(15,\)"):
         run(h[:5], model, grid)
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, h1, phi, model, grid: check_eps_monotonicity(h1, model, grid, 1e-2, 1e-3, 4, seed=1),
+    lambda h, h1, phi, model, grid: check_eps_convergence(h1, model, grid, [1e-2, 1e-3], 4, seed=1),
+    lambda h, h1, phi, model, grid: check_log_harnack(phi, h1, h, 0.1, "reflected", model,
+                                                      grid, 8, seed=1),
+    lambda h, h1, phi, model, grid: check_log_harnack(phi, h, h1, 0.1, "reflected", model,
+                                                      grid, 8, seed=1),
+    lambda h, h1, phi, model, grid: check_initial_continuity(h1, h, 2.0, "reflected", model,
+                                                             grid, 8, seed=1),
+    lambda h, h1, phi, model, grid: check_initial_continuity(h, h1, 2.0, "reflected", model,
+                                                             grid, 8, seed=1),
+], ids=["monotonicity", "convergence", "log-harnack-h1", "log-harnack-h2",
+        "continuity-h1", "continuity-h2"])
+def test_single_start_checks_reject_a_stack(tiny, monkeypatch, run):
+    # a (1, n_space) start used to pass the run rules and then fail in numpy
+    # ("input operand has more dimensions", "only 0-dimensional arrays")
+    grid, model, e1, h = tiny
+    passes = []
+    for module in (semigroup, verify):
+        monkeypatch.setattr(module, "run_ensemble", lambda *a, **k: passes.append(a))
+    monkeypatch.setattr(verify, "_lockstep", lambda *a: passes.append(a) or iter(()))
+    phi = exp_neg_pair(e1, grid.dx, lo=0.1, hi=1.0)
+    with pytest.raises(ValueError, match=r"initial field has shape \(1, 15\), expected \(15,\)"):
+        run(h, h[None, :], phi, model, grid)
+    assert passes == []
 
 
 def test_two_point_checks_check_each_point_before_any_run(tiny, monkeypatch):
