@@ -317,7 +317,7 @@ def harnack_rhs(t: float, dist2: float, profile: BoundProfile, kappa1: float) ->
     """Additive term M * dist2 / (kappa1^2 * integral_0^t exp(-zeta))."""
     if t <= 0:
         raise ValueError(f"t must be > 0, got {t}")
-    if dist2 < 0:
+    if not dist2 >= 0:
         raise ValueError(f"dist2 must be >= 0, got {dist2}")
     if not 0.0 < kappa1 < math.inf:
         raise ValueError(f"kappa1 must be finite and > 0, got {kappa1}")

@@ -74,22 +74,25 @@ class SpaceTimeGrid:
 def make_grid(n_space: int, dt: float, t_final: float) -> SpaceTimeGrid:
     """Build a grid with dx = 1/(n_space+1) and n_steps = t_final/dt.
 
-    Rejects n_space < 3, non-positive dt, and t_final that is not an
-    integer multiple of dt within 0.1% slack.
+    Rejects an n_space that is not an integer >= 3 (a bool is not one), a
+    dt that is not finite and > 0, and a t_final that is not finite, below
+    dt or not an integer multiple of dt within 0.1% slack.
     """
+    if isinstance(n_space, bool) or not isinstance(n_space, (int, np.integer)):
+        raise ValueError(f"n_space must be an integer, got {n_space!r}")
     if n_space < 3:
         raise ValueError(f"n_space must be >= 3, got {n_space}")
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if t_final < dt:
-        raise ValueError(f"t_final must be >= dt, got {t_final} < {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be > 0 and finite, got {dt}")
+    if not dt <= t_final < math.inf:
+        raise ValueError(f"t_final must be >= dt and finite, got {t_final} with dt = {dt}")
     ratio = t_final / dt
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-3 * max(1.0, ratio):
         raise ValueError(
             f"t_final/dt = {ratio} is not an integer within 0.1% slack"
         )
-    return SpaceTimeGrid(n_space=n_space, dx=1.0 / (n_space + 1), dt=dt, n_steps=n_steps)
+    return SpaceTimeGrid(n_space=int(n_space), dx=1.0 / (n_space + 1), dt=dt, n_steps=n_steps)
 
 
 def l2_norm(values: np.ndarray, dx: float) -> float | np.ndarray:

@@ -65,8 +65,8 @@ class Functional:
 
     kinds: ``clipped_affine`` (clip(offset + s, lo, hi)), ``exp_neg_pair``
     (lo + (hi-lo) exp(-s^2)), ``bounded_cylinder`` (logistic ramp in s, or a
-    hard step when smooth=False).  All are bounded into [lo, hi]; the local
-    Lipschitz constant |grad Phi|(h) is closed form per kind.
+    hard step when smooth=False).  All are bounded into [lo, hi].  ``_psi``
+    holds each kind's psi and signed psi'; value and grad_norm derive from it.
     """
 
     kind: str
@@ -82,7 +82,7 @@ class Functional:
     def __post_init__(self):
         if self.kind not in _FUNCTIONAL_BUILDERS:
             raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.lo > self.hi:
+        if not self.lo <= self.hi:  # also rejects a NaN bound
             raise ValueError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
 
     @property
@@ -101,29 +101,28 @@ class Functional:
         """<U, phi> = dx * sum_i phi_i U_i over the node axis (axis 0)."""
         return self.dx * np.tensordot(self.phi, U, axes=([0], [0]))
 
-    def value(self, U: np.ndarray):
-        s = self.pair(U)
+    def _psi(self, s):
+        """(psi(s), signed psi'(s)) at the pairings s; the hard step's psi' is 0/inf."""
+        s = np.asarray(s, dtype=float)
+        span = self.hi - self.lo
         if self.kind == "clipped_affine":
-            return np.clip(self.offset + s, self.lo, self.hi)
+            a = self.offset + s
+            return np.clip(a, self.lo, self.hi), np.where((a > self.lo) & (a < self.hi), 1.0, 0.0)
         if self.kind == "exp_neg_pair":
-            return self.lo + (self.hi - self.lo) * np.exp(-np.square(s))
-        if self.smooth:  # bounded_cylinder
-            p = _stable_logistic(self.sharpness * (np.asarray(s, dtype=float) - self.center))
-            return self.lo + (self.hi - self.lo) * p
-        return self.lo + (self.hi - self.lo) * (np.asarray(s) >= self.center)
-
-    def grad_norm(self, U: np.ndarray):
-        """Local Lipschitz constant |grad Phi| at each field."""
-        s = np.asarray(self.pair(U), dtype=float)
-        if self.kind == "clipped_affine":
-            inside = (self.offset + s > self.lo) & (self.offset + s < self.hi)
-            return np.where(inside, self.phi_l2, 0.0)
-        if self.kind == "exp_neg_pair":
-            return (self.hi - self.lo) * 2.0 * np.abs(s) * np.exp(-np.square(s)) * self.phi_l2
+            e = np.exp(-np.square(s))
+            return self.lo + span * e, -span * 2.0 * s * e
         if self.smooth:  # bounded_cylinder
             p = _stable_logistic(self.sharpness * (s - self.center))
-            return (self.hi - self.lo) * abs(self.sharpness) * p * (1.0 - p) * self.phi_l2
-        return np.where(s == self.center, np.inf, 0.0)
+            return self.lo + span * p, span * self.sharpness * p * (1.0 - p)
+        return self.lo + span * (s >= self.center), np.where(s == self.center, np.inf, 0.0)
+
+    def value(self, U: np.ndarray):
+        return self._psi(self.pair(U))[0]
+
+    def grad_norm(self, U: np.ndarray):
+        """Local Lipschitz constant |grad Phi| = |psi'(s)| |phi|; the hard step's 0/inf unscaled."""
+        slope = np.abs(self._psi(self.pair(U))[1])
+        return slope * self.phi_l2 if self.is_c1 else slope
 
     def grad_sq(self, U: np.ndarray):
         return np.square(self.grad_norm(U))
@@ -281,10 +280,10 @@ def _check_n_paths(n_paths: int) -> None:
 
 
 def _check_positive(name: str, *values) -> None:
-    """ValueError naming ``name`` unless each of its values is > 0."""
+    """ValueError naming ``name`` unless each of its values is finite and > 0."""
     for v in values:
-        if not v > 0:
-            raise ValueError(f"{name} must be > 0, got {v!r}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {v!r}")
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -414,6 +413,13 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     elif not isinstance(directions, Directions):
         raise TypeError(f"directions must be a Directions or None, got {type(directions).__name__}")
     labels, fields = directions
+    if len(fields) == 0:
+        raise ValueError("directions is empty: give at least one probe direction")
+    if len(labels) != len(fields):
+        raise ValueError(f"directions has {len(labels)} labels for {len(fields)} fields")
+    for label, k in zip(labels, fields):
+        if np.shape(k) != h.shape:
+            raise ValueError(f"direction {label!r} has shape {np.shape(k)}, expected {h.shape}")
     if delta is None:
         delta = 1e-3 * max(float(l2_norm(h, grid.dx)), 1.0)
     _check_positive("delta", delta)

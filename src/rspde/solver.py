@@ -21,6 +21,7 @@ result depends on the other columns of that slab.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -148,17 +149,17 @@ def penalty_resolvent(v: np.ndarray, dt_over_eps: float, kind: str, out=None) ->
         # iteration cannot cycle when dt/eps is large
         lo = vn.copy()
         hi = np.zeros_like(vn)
+        scale = 1.0 + np.abs(vn)
         un = 0.5 * (lo + hi)
         for _ in range(300):
             g = un - dt_over_eps * np.arctan(un * un) - vn
-            if np.max(np.abs(g) / (1.0 + np.abs(vn))) < 1e-12:
+            if (np.abs(g) / scale).max() < 1e-12:
                 break
             np.copyto(lo, un, where=g < 0.0)
             np.copyto(hi, un, where=g >= 0.0)
             nxt = un - g / _arctan_square_slope(un, dt_over_eps)
-            outside = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
-            np.copyto(nxt, 0.5 * (lo + hi), where=outside)
-            un = nxt
+            # a step not strictly inside the bracket bisects, and so does a NaN or inf one
+            un = np.where((nxt > lo) & (nxt < hi), nxt, 0.5 * (lo + hi))
         else:
             raise RuntimeError("arctan penalty resolvent did not converge")
         out[neg] = un
@@ -259,20 +260,22 @@ def _lockstep(fields, stages, noise, n_steps, model, grid, streams):
 # ---------------------------------------------------------------------------
 
 def _check_run(h, mode, eps, grid: SpaceTimeGrid, stack: bool = False) -> np.ndarray:
-    """The rules of every run: a known mode, eps > 0 when penalized and an
-    entrywise nonnegative start field.  A run from one start (``solve_path``,
-    ``solve_tangent``, the eps experiments, each point of the two-point
-    checks, the estimators) takes shape (n_space,); only ``run_ensemble``
-    takes a stack (V, n_space), with ``stack=True``.  Returns the field as
-    floats."""
+    """The rules of every run: a known mode, a finite eps > 0 when penalized
+    and a finite, entrywise nonnegative start field.  A run from one start
+    (``solve_path``, ``solve_tangent``, the eps experiments, each point of
+    the two-point checks, the estimators) takes shape (n_space,); only
+    ``run_ensemble`` takes a stack (V, n_space), with ``stack=True``.
+    Returns the field as floats."""
     if mode not in ("penalized", "reflected"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "penalized" and (eps is None or eps <= 0):
-        raise ValueError("penalized mode needs eps > 0")
+    if mode == "penalized" and not (eps is not None and 0 < eps < math.inf):
+        raise ValueError(f"penalized mode needs eps > 0 and finite, got {eps!r}")
     h = np.asarray(h, dtype=float)
     if h.ndim != (2 if stack else 1) or h.shape[-1] != grid.n_space:
         expected = f"(V, {grid.n_space})" if stack else f"({grid.n_space},)"
         raise ValueError(f"initial field has shape {h.shape}, expected {expected}")
+    if not np.isfinite(h).all():
+        raise ValueError("initial field must be finite")
     if np.any(h < 0.0):
         raise ValueError("initial field must be entrywise >= 0")
     return h

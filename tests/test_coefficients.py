@@ -203,6 +203,11 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="kappa1 must be finite"):
             harnack_rhs(0.25, 1.0, BoundProfile(1.0, 1.0), kappa1)
 
+    def test_harnack_rhs_nan_distance(self):
+        # dist2 < 0 is false for nan, so a nan distance used to return a nan term
+        with pytest.raises(ValueError, match="dist2 must be >= 0, got nan"):
+            harnack_rhs(0.25, math.nan, BoundProfile(1.0, 1.0), 1.0)
+
     @pytest.mark.parametrize("a, b", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
                                       (-math.inf, 0.0)])
     def test_adaptive_simpson_interval(self, a, b):

@@ -1,5 +1,6 @@
 """Grid construction and the reproducible noise source."""
 
+import math
 import sys
 import threading
 
@@ -103,6 +104,29 @@ class TestMakeGrid:
             make_grid(7, 0.0, 1.0)
         with pytest.raises(ValueError):
             make_grid(7, 0.2, 0.1)
+
+    @pytest.mark.parametrize("n_space", [15.5, 15.0, True, "15", None],
+                             ids=["fraction", "integral-float", "bool", "str", "none"])
+    def test_rejects_a_non_integer_n_space(self, n_space):
+        # 15.5 used to build a grid with n_space = 15.5
+        with pytest.raises(ValueError, match="n_space must be an integer"):
+            make_grid(n_space, 0.01, 0.1)
+
+    def test_numpy_integer_n_space_builds_the_same_grid(self):
+        grid = make_grid(np.int64(15), 0.01, 0.1)
+        assert grid == make_grid(15, 0.01, 0.1) and type(grid.n_space) is int
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_rejects_a_non_finite_dt(self, dt):
+        # nan failed with "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="dt must be > 0 and finite"):
+            make_grid(15, dt, 0.1)
+
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_rejects_a_non_finite_t_final(self, t_final):
+        # inf failed with an OverflowError
+        with pytest.raises(ValueError, match="t_final must be >= dt and finite"):
+            make_grid(15, 0.01, t_final)
 
     @given(n=st.integers(3, 4096))
     def test_dx_partition_exact(self, n):

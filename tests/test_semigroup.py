@@ -1,5 +1,6 @@
 """Functionals, ensemble engine, and the Monte Carlo estimators."""
 
+import itertools
 import math
 import os
 import tracemalloc
@@ -32,6 +33,10 @@ from rspde.semigroup import (
 from rspde.solver import BlowUpError, ReflectionLedger, _drift_noise_solve, _project, solve_path
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("an ensemble ran before the input rules")
+
+
 @pytest.fixture(scope="module")
 def small():
     grid = make_grid(31, 1e-3, 0.05)
@@ -41,7 +46,74 @@ def small():
     return grid, model, e1, h
 
 
+def closed_form_value(f, U):
+    """Phi(U) written out per kind, as the catalogue table states it."""
+    s = f.pair(U)
+    if f.kind == "clipped_affine":
+        return np.clip(f.offset + s, f.lo, f.hi)
+    if f.kind == "exp_neg_pair":
+        return f.lo + (f.hi - f.lo) * np.exp(-np.square(s))
+    if f.smooth:
+        p = semigroup._stable_logistic(f.sharpness * (np.asarray(s, dtype=float) - f.center))
+        return f.lo + (f.hi - f.lo) * p
+    return f.lo + (f.hi - f.lo) * (np.asarray(s) >= f.center)
+
+
+def closed_form_grad_norm(f, U):
+    """|grad Phi|(U) written out per kind; the hard step is 0/inf, unscaled."""
+    s = np.asarray(f.pair(U), dtype=float)
+    if f.kind == "clipped_affine":
+        return np.where((f.offset + s > f.lo) & (f.offset + s < f.hi), f.phi_l2, 0.0)
+    if f.kind == "exp_neg_pair":
+        return (f.hi - f.lo) * 2.0 * np.abs(s) * np.exp(-np.square(s)) * f.phi_l2
+    if f.smooth:
+        p = semigroup._stable_logistic(f.sharpness * (s - f.center))
+        return (f.hi - f.lo) * abs(f.sharpness) * p * (1.0 - p) * f.phi_l2
+    return np.where(s == f.center, np.inf, 0.0)
+
+
+def catalogue_cases(phi, dx):
+    return [
+        clipped_affine(phi, dx, offset=0.2),
+        clipped_affine(phi, dx, offset=-0.3, lo=-1.0, hi=2.0),
+        clipped_affine(phi, dx, lo=0.0, hi=0.0),
+        exp_neg_pair(phi, dx),
+        exp_neg_pair(phi, dx, lo=0.0, hi=3.0),
+        bounded_cylinder(phi, dx, center=0.2, lo=0.1, hi=0.9, sharpness=4.0),
+        bounded_cylinder(phi, dx, sharpness=-2.5),
+        bounded_cylinder(phi, dx, center=-0.1, sharpness=-1e3),
+        bounded_cylinder(phi, dx, lo=0.3, hi=0.3),
+        bounded_cylinder(phi, dx, smooth=False),
+        bounded_cylinder(phi, dx, center=0.3, lo=-1.0, hi=2.0, smooth=False),
+    ]
+
+
 class TestFunctionalCatalogue:
+    @pytest.mark.parametrize("shape", [(31,), (31, 7), (31, 3, 5)], ids=["n", "n-P", "n-V-P"])
+    @pytest.mark.parametrize("zero_phi", [False, True], ids=["e1", "zero-phi"])
+    def test_value_and_grad_match_closed_forms_bitwise(self, small, shape, zero_phi):
+        # psi and the signed psi' give value = psi and grad_norm = |psi'| |phi|
+        # with the closed forms' bits: |a b| = |a| |b| and 1.0 |phi| = |phi|
+        grid, _, e1, h = small
+        rng = np.random.default_rng(21)
+        U = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 1.0, shape[1:])
+        if U.ndim > 1:
+            U[:, 0] = 0.0  # s = 0: on the step and at the clip edge of lo = hi = 0
+        fields = [U] if U.ndim > 1 else [U, h, 0.0 * h]
+        for f, V in itertools.product(catalogue_cases(0.0 * e1 if zero_phi else e1, grid.dx), fields):
+            want_value, want_grad = closed_form_value(f, V), closed_form_grad_norm(f, V)
+            for got, want in [(f.value(V), want_value), (f.grad_norm(V), want_grad),
+                              (f.grad_sq(V), np.square(want_grad))]:
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (f, shape)
+
+    @pytest.mark.parametrize("bounds", [{"lo": math.nan}, {"hi": math.nan}], ids=["lo", "hi"])
+    def test_nan_bound_rejected(self, small, bounds):
+        # lo > hi is false for nan, so clipped_affine(phi, dx, lo=nan) used to build
+        grid, _, e1, _ = small
+        with pytest.raises(ValueError, match="lo <= hi"):
+            clipped_affine(e1, grid.dx, **bounds)
+
     def test_clipped_affine_value_and_grad(self, small):
         grid, _, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=0.0, hi=1.0)
@@ -250,6 +322,19 @@ class TestRunEnsemble:
         args = {"n_run_steps": 3, "n_paths": 5, **kwargs}
         with pytest.raises(ValueError, match=name):
             run_ensemble(h, mode="reflected", model=model, grid=grid, seed=1, **args)
+        assert chunks == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_start_named_before_any_chunk(self, small, monkeypatch, bad):
+        # a nan start used to end in a BlowUpError at step 0 that read
+        # "last finite max |u| = nan"
+        grid, model, _, h = small
+        chunks = []
+        monkeypatch.setattr(semigroup, "_lockstep", lambda *a: chunks.append(a) or iter(()))
+        H = np.stack([h, h])
+        H[1, 3] = bad
+        with pytest.raises(ValueError, match="initial field must be finite"):
+            run_ensemble(H, 3, "reflected", model, grid, seed=1, n_paths=5)
         assert chunks == []
 
     def test_last_streams_below_2_64_run(self, small):
@@ -560,6 +645,37 @@ class TestEstimateGrad:
         with pytest.raises(ValueError, match="delta"):
             estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
                              directions=Directions(["e1"], [e1]), delta=delta)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, small, monkeypatch, delta):
+        grid, model, e1, h = small
+        monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        with pytest.raises(ValueError, match="delta must be > 0 and finite"):
+            estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
+                             directions=Directions(["e1"], [e1]), delta=delta)
+
+    def test_empty_directions_named(self, small, monkeypatch):
+        # used to report that every direction was rejected at the cone boundary
+        grid, model, e1, h = small
+        monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        for directions in (Directions([], []), direction_dictionary(grid, 0)):
+            with pytest.raises(ValueError, match="directions is empty"):
+                estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
+                                 directions=directions)
+
+    def test_direction_of_another_length_named(self, small, monkeypatch):
+        # used to fail in numpy with "operands could not be broadcast together"
+        grid, model, e1, h = small
+        monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
+        phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
+        with pytest.raises(ValueError, match=r"direction 'short' has shape \(30,\), expected \(31,\)"):
+            estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
+                             directions=Directions(["e1", "short"], [e1, e1[:30]]))
+        with pytest.raises(ValueError, match="directions has 1 labels for 2 fields"):
+            estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
+                             directions=Directions(["e1"], [e1, e1]))
 
     def test_single_direction_t_zero_value(self, small):
         grid, model, e1, h = small

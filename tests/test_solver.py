@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rspde import solver as solver_module
 from rspde.coefficients import CoefficientModel, constant_model, standard_model
 from rspde.grid_noise import NoisePlan, l2_norm, make_grid, sample_increments
 from rspde.heat import ImplicitHeatSolver, spectral_basis
@@ -24,8 +25,40 @@ from rspde.solver import (
 )
 
 
+def _no_noise(*args, **kwargs):
+    raise AssertionError("noise was drawn before the input rules")
+
+
 def nonneg_first_mode(grid, amp=1.0):
     return np.maximum(amp * spectral_basis(grid.n_space).modes[0], 0.0)
+
+
+def arctan_sweep_reference(v, dt_over_eps):
+    """The arctan_square resolvent with its bracket test in three clauses: the
+    Newton step is replaced by the midpoint when it lands on or outside the
+    bracket or is not finite; the stop scale 1 + |v| is formed in the loop.
+    penalty_resolvent must match it bit for bit."""
+    out = np.array(v, dtype=float)
+    neg = (out < 0.0) & np.isfinite(out)
+    if np.any(neg):
+        vn = out[neg]
+        lo = vn.copy()
+        hi = np.zeros_like(vn)
+        un = 0.5 * (lo + hi)
+        for _ in range(300):
+            g = un - dt_over_eps * np.arctan(un * un) - vn
+            if np.max(np.abs(g) / (1.0 + np.abs(vn))) < 1e-12:
+                break
+            np.copyto(lo, un, where=g < 0.0)
+            np.copyto(hi, un, where=g >= 0.0)
+            nxt = un - g / (1.0 - dt_over_eps * 2.0 * un / (1.0 + un ** 4))
+            outside = (nxt <= lo) | (nxt >= hi) | ~np.isfinite(nxt)
+            np.copyto(nxt, 0.5 * (lo + hi), where=outside)
+            un = nxt
+        else:
+            raise RuntimeError("arctan penalty resolvent did not converge")
+        out[neg] = un
+    return out
 
 
 class TestPenaltyResolvent:
@@ -100,6 +133,33 @@ class TestPenaltyResolvent:
         assert own.tobytes() == col.tobytes() == fresh.tobytes()
         assert v.tobytes() == kept.tobytes() and not slab[:, [0, 2]].any()
 
+    @pytest.mark.parametrize("q", [1e-9, 1e-6, 1e-3, 0.5, 1.0, 50.0, 1e3, 1e6, math.inf, math.nan])
+    def test_arctan_sweep_matches_the_reference_sweep_bitwise(self, q):
+        # one strict bracket test sends nan and +-inf steps to bisection as the
+        # three clauses do; slabs hold nan, +-inf and -0.0, |v| spans 1e-300 to
+        # 1e150, and an infinite or nan dt/eps raises in both
+        rng = np.random.default_rng(21)
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, 1e-300, -1e150, 1e150]
+        slabs = [np.array(special)]
+        for n in (1, 7, 64, 300):
+            v = 10.0 ** rng.uniform(-300.0, 150.0, n) * rng.choice([-1.0, 1.0], n)
+            v[rng.integers(0, n, max(1, n // 10))] = rng.choice(special)
+            slabs.append(v)
+        slabs.append(slabs[-1].reshape(100, 3))
+        raised = 0
+        for v in slabs:
+            with np.errstate(all="ignore"):
+                try:
+                    want = arctan_sweep_reference(v, q)
+                except RuntimeError:
+                    raised += 1
+                    with pytest.raises(RuntimeError, match="did not converge"):
+                        penalty_resolvent(v, q, "arctan_square")
+                    continue
+                got = penalty_resolvent(v, q, "arctan_square")
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (raised > 0) == (not math.isfinite(q))
+
     def test_derivative_convention_at_zero(self):
         d = penalty_resolvent_deriv(np.array([-1.0, 0.0, 1.0]), 4.0, "negative_part")
         assert np.array_equal(d, [0.2, 1.0, 1.0])
@@ -139,6 +199,15 @@ class TestStepPenalized:
             with pytest.raises(ValueError, match="eps"):
                 solve_path(np.zeros(7), "penalized", constant_model(), grid, NoisePlan(0),
                            eps=eps)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_rejects_non_finite_eps_before_any_noise(self, monkeypatch, eps):
+        # eps = inf used to run with no penalty at all, and eps = nan ended
+        # in a BlowUpError at step 1
+        grid = make_grid(7, 0.1, 0.1)
+        monkeypatch.setattr(solver_module, "sample_increments", _no_noise)
+        with pytest.raises(ValueError, match="penalized mode needs eps > 0 and finite"):
+            solve_path(np.zeros(7), "penalized", constant_model(), grid, NoisePlan(0), eps=eps)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_blow_up_reports_step(self):
@@ -236,6 +305,18 @@ class TestSolvePath:
         grid = make_grid(7, 0.1, 0.1)
         with pytest.raises(ValueError):
             solve_path(np.full(7, -0.1), "reflected", constant_model(), grid, NoisePlan(0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mode", ["reflected", "penalized"])
+    def test_rejects_non_finite_initial_before_any_noise(self, monkeypatch, bad, mode):
+        # a nan start used to end in a BlowUpError at step 0 that read
+        # "last finite max |u| = nan"
+        grid = make_grid(7, 0.1, 0.1)
+        h = np.zeros(7)
+        h[2] = bad
+        monkeypatch.setattr(solver_module, "sample_increments", _no_noise)
+        with pytest.raises(ValueError, match="initial field must be finite"):
+            solve_path(h, mode, constant_model(), grid, NoisePlan(0), eps=0.1)
 
     def test_rejects_unknown_mode(self):
         grid = make_grid(7, 0.1, 0.1)

@@ -307,6 +307,25 @@ class TestEpsExperiments:
         with pytest.raises(ValueError, match="eps_ladder"):
             check_eps_convergence(h, model, grid, ladder, 4, seed=1)
 
+    @pytest.mark.parametrize("ladder", [[math.inf, 1e-3], [1e-2, math.nan]], ids=["inf", "nan"])
+    def test_convergence_rejects_non_finite_rung_before_any_noise(self, lab, monkeypatch, ladder):
+        # [inf, 1e-3] used to return PASS against a run with no penalty
+        grid, model, _, h, _ = lab
+        monkeypatch.setattr(verify, "increments_matrix", _no_run)
+        with pytest.raises(ValueError, match="eps_ladder must be > 0 and finite"):
+            check_eps_convergence(h, model, grid, ladder, 4, seed=1)
+
+    @pytest.mark.parametrize("eps_big, eps_small, name", [
+        (math.inf, 1e-3, "eps_big"), (math.nan, 1e-3, "eps_big"),
+        (1e-2, math.nan, "eps_small"), (math.inf, math.inf, "eps_big"),
+    ], ids=["big-inf", "big-nan", "small-nan", "both-inf"])
+    def test_monotonicity_rejects_non_finite_eps_before_any_noise(self, lab, monkeypatch,
+                                                                  eps_big, eps_small, name):
+        grid, model, _, h, _ = lab
+        monkeypatch.setattr(verify, "increments_matrix", _no_run)
+        with pytest.raises(ValueError, match=f"{name} must be > 0 and finite"):
+            check_eps_monotonicity(h, model, grid, eps_big, eps_small, 4, seed=1)
+
     def test_convergence_ladder_small_run(self, lab):
         grid, model, _, h, _ = lab
         report = check_eps_convergence(h, model, grid, [1e-2, 1e-3, 1e-4], 8, seed=15)
@@ -348,6 +367,18 @@ def test_eps_experiments_check_the_start_field(tiny, run):
         run(h - 0.5, model, grid)
     with pytest.raises(ValueError, match=r"initial field has shape \(5,\), expected \(15,\)"):
         run(h[:5], model, grid)
+
+
+@pytest.mark.parametrize("run", [
+    lambda h, model, grid: check_eps_monotonicity(h, model, grid, 1e-2, 1e-3, 4, seed=1),
+    lambda h, model, grid: check_eps_convergence(h, model, grid, [1e-2, 1e-3], 4, seed=1),
+], ids=["monotonicity", "convergence"])
+def test_eps_experiments_reject_a_non_finite_start_before_any_noise(tiny, monkeypatch, run):
+    grid, model, _, h = tiny
+    monkeypatch.setattr(verify, "increments_matrix", _no_run)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="initial field must be finite"):
+            run(np.where(np.arange(grid.n_space) == 4, bad, h), model, grid)
 
 
 @pytest.mark.parametrize("run", [
