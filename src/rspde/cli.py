@@ -125,8 +125,8 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
     if name == "comparison":
         return verify.check_eps_monotonicity(
             h, model, grid,
-            eps_big=float(chk.get("eps_big", 1e-2)),
-            eps_small=float(chk.get("eps_small", 1e-3)),
+            eps_big=float(chk.get("eps_big", verify.EPS_BIG)),
+            eps_small=float(chk.get("eps_small", verify.EPS_SMALL)),
             n_paths=n_paths, seed=seed,
         )
     if name == "continuity":

@@ -12,12 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from functools import partial
 
 import numpy as np
 
-from .coefficients import MODEL_CATALOGUE, CoefficientModel, model_from_config
+from .coefficients import CoefficientModel, model_from_config
 from .grid_noise import SpaceTimeGrid, make_grid, project_nonneg, sine_profile
-from .semigroup import functional_from_config
+from .semigroup import _check_positive, functional_from_config
+from .solver import _check_mode
+from .verify import EPS_BIG, EPS_SMALL, _check_eps_pair, _check_ladder, _check_p, _check_rungs
 
 __all__ = [
     "ConfigError",
@@ -58,7 +61,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _need(block: dict, block_name: str, key: str, types, pred=None, desc=""):
+def _need(block: dict, block_name: str, key: str, types, pred=None, desc="", rule=None):
+    """block[key]: present, of a JSON type in ``types`` (a bool is not a number), with
+    ``pred`` true, and then through ``rule``, the library's own statement of the
+    value's rule, whose error message goes behind the field path."""
     if key not in block:
         raise ConfigError(f"{block_name}.{key}: missing required field")
     val = block[key]
@@ -66,11 +72,21 @@ def _need(block: dict, block_name: str, key: str, types, pred=None, desc=""):
         raise ConfigError(f"{block_name}.{key}: expected {desc or types}, got {val!r}")
     if pred is not None and not pred(val):
         raise ConfigError(f"{block_name}.{key}: invalid value {val!r} ({desc})")
+    if rule is not None:
+        try:
+            rule(val)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{block_name}.{key}: {exc}") from exc
     return val
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _optional(block: dict, block_name: str, key: str, *args, **kwargs):
+    """``_need`` for a key the config may leave out; None when it does."""
+    return _need(block, block_name, key, *args, **kwargs) if key in block else None
+
+
+def _numbers(vals) -> bool:
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals)
 
 
 def _finite_numbers(node, path: str) -> None:
@@ -85,30 +101,9 @@ def _finite_numbers(node, path: str) -> None:
         raise ConfigError(f"{path}: must be finite, got {node!r}")
 
 
-def _positive_list(block: dict, block_name: str, key: str) -> None:
-    if key in block:
-        vals = block[key]
-        if not (isinstance(vals, list) and all(_is_number(v) and v > 0 for v in vals) and len(set(vals)) > 1):
-            raise ConfigError(f"{block_name}.{key}: must be a list of at least two distinct numbers > 0")
-
-
-def _on_mesh(grid: SpaceTimeGrid, field: str, times) -> None:
-    for t in times:
-        try:
-            grid.step_of(t)
-        except ValueError as exc:
-            raise ConfigError(f"{field}: {exc}") from exc
-
-
-def _mode_lists(block: dict, block_name: str, *keys) -> None:
-    for key in keys:
-        if key in block and not (
-            isinstance(block[key], list) and all(_is_number(v) for v in block[key])
-        ):
-            raise ConfigError(f"{block_name}.{key}: must be a list of mode coefficients")
-
-
 def validate_config(cfg: dict) -> None:
+    """ConfigError naming the first bad field.  The config knows its blocks, keys, JSON
+    types and that numbers are finite; each value rule is the library's own (``_need``)."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     _finite_numbers(cfg, "")
@@ -126,58 +121,39 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"grid.{exc}") from exc
 
     m = cfg["model"]
-    name = _need(m, "model", "name", str, lambda v: v in MODEL_CATALOGUE,
-                 f"one of {sorted(MODEL_CATALOGUE)}")
-    params = m.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("model.params: must be an object")
-    try:
-        model_from_config(name, params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model.params: {exc}") from exc
+    name = _need(m, "model", "name", str, desc="a string", rule=model_from_config)
+    _optional(m, "model", "params", dict, desc="an object", rule=partial(model_from_config, name))
 
     r = cfg["run"]
     mode = _need(r, "run", "mode", str, lambda v: v in ("penalized", "reflected"),
                  "'penalized' or 'reflected'")
     if mode == "penalized":
-        _need(r, "run", "eps", (int, float), lambda v: v > 0, "> 0")
+        _need(r, "run", "eps", (int, float), desc="number", rule=lambda v: _check_mode(mode, v))
     _need(r, "run", "n_paths", int, lambda v: v >= 1, "integer >= 1")
     _need(r, "run", "seed", int, lambda v: 0 <= v < 2 ** 64, "integer in [0, 2**64)")
-    if "save_at" in r:
-        if not isinstance(r["save_at"], list) or not all(_is_number(v) for v in r["save_at"]):
-            raise ConfigError("run.save_at: must be a list of times")
-        _on_mesh(grid, "run.save_at", r["save_at"])
-    _mode_lists(r, "run", "h_modes")
-    _positive_list(r, "run", "eps_ladder")
+    _optional(r, "run", "save_at", list, _numbers, "a list of times",
+              lambda times: [grid.step_of(t) for t in times])
+    _optional(r, "run", "h_modes", list, _numbers, "a list of mode coefficients")
+    eps_ladder = partial(_check_ladder, "eps_ladder")
+    _optional(r, "run", "eps_ladder", list, _numbers, "a list of numbers", eps_ladder)
 
     if "check" in cfg:
         c = cfg["check"]
         if not isinstance(c, dict):
             raise ConfigError("check: must be an object")
-        _mode_lists(c, "check", "h_modes", "h1_modes", "h2_modes")
-        if "t" in c:
-            _on_mesh(grid, "check.t", [_need(c, "check", "t", (int, float), lambda v: v > 0, "> 0")])
-        if "p" in c:
-            _need(c, "check", "p", (int, float), lambda v: v >= 1, ">= 1")
-        for key in ("ladder", "eps_ladder"):
-            _positive_list(c, "check", key)
-        if any(s > 1 for s in c.get("ladder", [])):
-            raise ConfigError("check.ladder: rungs must lie in (0, 1]")
+        for key in ("h_modes", "h1_modes", "h2_modes"):
+            _optional(c, "check", key, list, _numbers, "a list of mode coefficients")
+        _optional(c, "check", "t", (int, float), lambda v: v > 0, "> 0", grid.step_of)
+        _optional(c, "check", "p", (int, float), desc="number", rule=_check_p)
+        for key, rule in (("ladder", _check_rungs), ("eps_ladder", eps_ladder)):
+            _optional(c, "check", key, list, _numbers, "a list of numbers", rule)
         for key in ("eps_big", "eps_small"):
-            if key in c:
-                _need(c, "check", key, (int, float), lambda v: v > 0, "> 0")
-        if "eps_small" in c and "eps_big" in c and not c["eps_small"] < c["eps_big"]:
-            raise ConfigError(f"check.eps_small: must be < check.eps_big = {c['eps_big']!r}")
-        if "functional" in c:
-            f = c["functional"]
-            if not isinstance(f, dict) or "kind" not in f:
-                raise ConfigError("check.functional: must be an object with a 'kind'")
-            try:
-                functional_from_config(grid, f)
-            except KeyError as exc:
-                raise ConfigError(f"check.functional: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"check.functional: {exc}") from exc
+            _optional(c, "check", key, (int, float), desc="number", rule=partial(_check_positive, key))
+        pair = (c.get("eps_big", EPS_BIG), c.get("eps_small", EPS_SMALL))  # what comparison runs
+        _optional(c, "check", "eps_small" if "eps_small" in c else "eps_big", (int, float),
+                  rule=lambda _: _check_eps_pair(*pair))  # a lone key meets the other's default
+        _optional(c, "check", "functional", dict, lambda f: {"kind", "direction_modes"} <= f.keys(),
+                  "an object with 'kind' and 'direction_modes'", partial(functional_from_config, grid))
 
 
 def build_grid(cfg: dict) -> SpaceTimeGrid:

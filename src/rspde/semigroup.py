@@ -84,6 +84,9 @@ class Functional:
             raise ValueError(f"unknown functional kind {self.kind!r}")
         if not self.lo <= self.hi:  # also rejects a NaN bound
             raise ValueError(f"need lo <= hi, got lo={self.lo}, hi={self.hi}")
+        for name in ("phi", "dx", "offset", "lo", "hi", "center", "sharpness"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
     @property
     def phi_l2(self) -> float:
@@ -212,6 +215,15 @@ def _chunk_ranges(n_paths: int):
     return [(lo, min(lo + _STREAM_CHUNK, n_paths)) for lo in range(0, n_paths, _STREAM_CHUNK)]
 
 
+def _check_streams(n_paths: int, stream_offset: int = 0) -> None:
+    """At least one stream, with ids stream_offset + [0, n_paths) in [0, 2**64)."""
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
+    if not 0 <= stream_offset <= 2**64 - n_paths:
+        raise ValueError(f"stream ids stream_offset + [0, n_paths) must lie in [0, 2**64), "
+                         f"got stream_offset={stream_offset!r}, n_paths={n_paths!r}")
+
+
 def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
                  grid: SpaceTimeGrid, seed: int, n_paths: int, eps: float | None = None,
                  stream_offset: int = 0, track_sup_pairs=None):
@@ -232,11 +244,7 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     if not 0 <= n_run_steps <= grid.n_steps:
         raise ValueError(f"n_run_steps must lie in [0, grid.n_steps = {grid.n_steps}], "
                          f"got {n_run_steps!r}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths!r}")
-    if not 0 <= stream_offset <= 2**64 - n_paths:
-        raise ValueError(f"stream ids stream_offset + [0, n_paths) must lie in [0, 2**64), "
-                         f"got stream_offset={stream_offset!r}, n_paths={n_paths!r}")
+    _check_streams(n_paths, stream_offset)
     pairs = list(track_sup_pairs or [])
 
     plan = NoisePlan(seed)
@@ -455,12 +463,5 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
             diffs = (phi.value(U[2 * i]) - phi.value(U[2 * i + 1])) / (2.0 * delta)
             per_direction.append((label, *_mean_se(diffs)))
 
-    best = max(range(len(per_direction)), key=lambda i: abs(per_direction[i][1]))
-    return GradientEstimate(
-        value=abs(per_direction[best][1]),
-        std_error=per_direction[best][2],
-        best_direction=per_direction[best][0],
-        per_direction=per_direction,
-        rejected=rejected,
-        delta=delta,
-    )
+    label, value, std_error = max(per_direction, key=lambda d: abs(d[1]))  # first of any ties
+    return GradientEstimate(abs(value), std_error, label, per_direction, rejected, delta)

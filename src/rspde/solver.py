@@ -259,17 +259,21 @@ def _lockstep(fields, stages, noise, n_steps, model, grid, streams):
 # full paths
 # ---------------------------------------------------------------------------
 
-def _check_run(h, mode, eps, grid: SpaceTimeGrid, stack: bool = False) -> np.ndarray:
-    """The rules of every run: a known mode, a finite eps > 0 when penalized
-    and a finite, entrywise nonnegative start field.  A run from one start
-    (``solve_path``, ``solve_tangent``, the eps experiments, each point of
-    the two-point checks, the estimators) takes shape (n_space,); only
-    ``run_ensemble`` takes a stack (V, n_space), with ``stack=True``.
-    Returns the field as floats."""
+def _check_mode(mode, eps) -> None:
+    """A known mode, and a finite eps > 0 when penalized."""
     if mode not in ("penalized", "reflected"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "penalized" and not (eps is not None and 0 < eps < math.inf):
         raise ValueError(f"penalized mode needs eps > 0 and finite, got {eps!r}")
+
+
+def _check_run(h, mode, eps, grid: SpaceTimeGrid, stack: bool = False) -> np.ndarray:
+    """The rules of every run: ``_check_mode`` and a finite, entrywise nonnegative
+    start field.  A run from one start (``solve_path``, ``solve_tangent``, the
+    eps experiments, each point of the two-point checks, the estimators) takes
+    shape (n_space,); only ``run_ensemble`` takes a stack (V, n_space), with
+    ``stack=True``.  Returns the field as floats."""
+    _check_mode(mode, eps)
     h = np.asarray(h, dtype=float)
     if h.ndim != (2 if stack else 1) or h.shape[-1] != grid.n_space:
         expected = f"(V, {grid.n_space})" if stack else f"({grid.n_space},)"

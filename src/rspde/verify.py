@@ -20,6 +20,7 @@ from .semigroup import (
     Functional,
     _check_n_paths,
     _check_positive,
+    _check_streams,
     _mean_se,
     _track_sup,
     estimate_grad_Pt,
@@ -77,6 +78,7 @@ class CheckReport:
 
 
 MAX_VIOLATION_FRACTION = 1e-3
+EPS_BIG, EPS_SMALL = 1e-2, 1e-3  # the comparison check's eps pair where a config sets none
 
 
 def _combined_se(*ses: float) -> float:
@@ -88,9 +90,11 @@ def _allowance(grid: SpaceTimeGrid, scale):
     return 5.0 * (grid.dt + grid.dx ** 2) * scale
 
 
-def _bound_factor(check, t, model: CoefficientModel, m_scale, factor) -> float:
-    """The bound checks' prologue, run before any ensemble: t > 0, m_scale > 0,
-    M and zeta(t), then the check's bound factor(profile), which must be finite."""
+def _bound_factor(check, t, model: CoefficientModel, m_scale, factor, c1_phi=None) -> float:
+    """The bound checks' prologue, run before any ensemble: a C1 ``c1_phi`` when given,
+    t > 0, m_scale > 0, M and zeta(t), then the check's bound factor(profile), finite."""
+    if c1_phi is not None and not c1_phi.is_c1:
+        raise ValueError(f"the {check} check needs a C1 catalogue functional")
     if t <= 0:
         raise ValueError("t must be > 0")
     if not m_scale > 0:
@@ -109,6 +113,27 @@ def _check_ladder(name: str, ladder) -> None:
     _check_positive(name, *ladder)
     if len(set(ladder)) < 2:
         raise ValueError(f"{name} needs at least two distinct rungs, got {list(ladder)}")
+
+
+def _check_p(p) -> None:
+    """The continuity check's moment p: finite and >= 1."""
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+
+
+def _check_rungs(ladder) -> None:
+    """The continuity check's ladder: a ladder (``_check_ladder``) whose rungs lie in (0, 1]."""
+    _check_ladder("ladder", ladder)
+    if any(s > 1 for s in ladder):
+        raise ValueError(f"ladder rungs must lie in (0, 1], got {list(ladder)}")
+
+
+def _check_eps_pair(eps_big, eps_small) -> None:
+    """The comparison check's pair: each eps finite and > 0, and eps_small < eps_big."""
+    _check_positive("eps_big", eps_big)
+    _check_positive("eps_small", eps_small)
+    if not eps_small < eps_big:
+        raise ValueError(f"need eps_small < eps_big, got eps_small={eps_small!r}, eps_big={eps_big!r}")
 
 
 def _gate(check, lhs, rhs, se_lhs, se_rhs, grid, seed, t, n_paths, model, m_scale,
@@ -141,10 +166,8 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     which is what a one-sided upper-bound check needs).  ``m_scale``
     rescales M for fail-injection tests.
     """
-    if not phi.is_c1:
-        raise ValueError("gradient estimate check needs a C1 catalogue functional")
     factor = _bound_factor("gradient", t, model, m_scale, lambda p: (
-        2.0 * m_scale * p.M * p.exp_zeta(t)))
+        2.0 * m_scale * p.M * p.exp_zeta(t)), phi)
     grad = estimate_grad_Pt(phi, h, t, mode, model, grid, n_paths, seed,
                             eps=eps, directions=directions)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
@@ -180,9 +203,7 @@ def check_variance_bound(phi: Functional, h, t, mode, model: CoefficientModel,
                          m_scale: float = 1.0) -> CheckReport:
     """Gate P_t Phi^2 - (P_t Phi)^2 <= 2 M k2^2 P_t |grad Phi|^2 int_0^t e^{zeta}."""
     factor = _bound_factor("variance", t, model, m_scale, lambda p: (
-        2.0 * m_scale * p.M * model.kappa2 ** 2 * p.int_exp_zeta(t)))
-    if not phi.is_c1:
-        raise ValueError("variance bound check needs a C1 catalogue functional")
+        2.0 * m_scale * p.M * model.kappa2 ** 2 * p.int_exp_zeta(t)), phi)
     var = estimate_variance(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     pgs = estimate_Pt_grad_sq(phi, h, t, mode, model, grid, n_paths, seed, eps=eps)
     return _gate("variance", var.mean, factor * pgs.mean, var.std_error,
@@ -220,11 +241,8 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     """
     h1 = _check_run(h1, mode, eps, grid)
     h2 = _check_run(h2, mode, eps, grid)
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
-    _check_ladder("ladder", ladder)
-    if any(s > 1 for s in ladder):
-        raise ValueError(f"ladder rungs must lie in (0, 1], got {list(ladder)}")
+    _check_p(p)
+    _check_rungs(ladder)
     _check_n_paths(n_paths)
     diff = h2 - h1
     if float(sup_norm(diff)) == 0.0:
@@ -234,8 +252,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     _, sups = run_ensemble(np.stack(variants), grid.n_steps, mode, model, grid,
                            seed, n_paths, eps=eps, track_sup_pairs=pairs)
     sup_diffs = [float(sup_norm(s * diff)) for s in ladder]
-    ratios = []
-    ses = {}
+    ratios, ses = [], {}
     for j, s in enumerate(ladder):
         mean, ses[f"s={s:g}"] = _mean_se(sups[j] ** p / sup_diffs[j] ** p)
         ratios.append(mean)
@@ -255,8 +272,9 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
 def _eps_slab(h, grid: SpaceTimeGrid, n_variants: int, n_paths: int, seed: int):
     """The eps experiments' start: h under the run rules (each experiment checks its
     own eps), copied to shape (n_space, n_variants, n_paths), the streams
-    0..n_paths-1, and their noise callable m -> (n_space, 1, n_paths)."""
+    0..n_paths-1 (``_check_streams``) and their noise m -> (n_space, 1, n_paths)."""
     h = _check_run(h, "reflected", None, grid)
+    _check_streams(n_paths)
     plan, streams = NoisePlan(seed), np.arange(n_paths)
     u0 = np.broadcast_to(h[:, None, None], (grid.n_space, n_variants, n_paths))
     return u0.copy(), streams, lambda m: increments_matrix(plan, grid, m, streams)[:, None, :]
@@ -269,21 +287,17 @@ def check_eps_monotonicity(h, model: CoefficientModel, grid: SpaceTimeGrid,
 
     Counts grid points over all steps, nodes, and paths where
     u_small < u_big - 5 (dt + dx^2) * (running max |u|); passes when the
-    violating fraction stays below ``MAX_VIOLATION_FRACTION``.
+    violating fraction stays below ``MAX_VIOLATION_FRACTION``.  ``worst_violation``'s
+    running max starts at 0.0, so it reads 0.0 on a run with no violating
+    point and cannot show how close a PASS came.
     """
-    _check_positive("eps_big", eps_big)
-    _check_positive("eps_small", eps_small)
-    if not eps_small < eps_big:
-        raise ValueError("need eps_small < eps_big")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    _check_eps_pair(eps_big, eps_small)
     u0, streams, noise = _eps_slab(h, grid, 1, n_paths, seed)
     fields = [u0, u0]  # [u_big, u_small]; the stepper replaces each, never writes into it
     stages = [lambda v, q=grid.dt / e: penalty_resolvent(v, q, model.penalty_kind, out=v)
               for e in (eps_big, eps_small)]
     running_scale = np.maximum(np.max(np.abs(u0), axis=0), 1e-300)
-    violations = 0
-    worst = 0.0
+    violations, worst = 0, 0.0
     for _ in _lockstep(fields, stages, noise, grid.n_steps, model, grid, streams):
         u_big, u_small = fields
         running_scale = np.maximum(running_scale, np.max(np.abs(u_big), axis=0))
@@ -310,7 +324,8 @@ def check_eps_convergence(h, model: CoefficientModel, grid: SpaceTimeGrid,
     """Penalized-to-reflected convergence: under shared noise the sup
     distance E[sup_{t,x} |u_eps - u_reflected|] must decrease along a
     decreasing eps ladder, and the reflected run must stay exactly
-    nonnegative."""
+    nonnegative.  The second rule cannot fail: the projection clips and a NaN
+    raises first, so ``reflected_min`` is 0.0 and ``nonneg`` true on every run."""
     _check_ladder("eps_ladder", eps_ladder)
     _check_n_paths(n_paths)
     eps_ladder = sorted(eps_ladder, reverse=True)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,10 @@ from rspde.config import (
     parse_config,
     validate_config,
 )
-from rspde.grid_noise import make_grid
+from rspde.grid_noise import NoisePlan, make_grid
 from rspde.heat import heat_apply, spectral_basis
-from rspde.verify import check_eps_convergence
+from rspde.solver import solve_path
+from rspde.verify import check_eps_convergence, check_eps_monotonicity, check_initial_continuity
 
 
 def base_config(**overrides):
@@ -370,6 +372,10 @@ def _set(block, key, value):
     # a reversed pair failed at run time with a message that named no field
     (["check", "comparison"], lambda cfg: cfg["check"].update(eps_big=1e-3, eps_small=1e-2),
      "check.eps_small"),
+    # a lone key met the other's default (eps_big 1e-2, eps_small 1e-3) only at run
+    # time, and the run failed with a message that named no field
+    (["check", "comparison"], _set("check", "eps_small", 0.05), "check.eps_small"),
+    (["check", "comparison"], _set("check", "eps_big", 1e-3), "check.eps_big"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
@@ -377,7 +383,8 @@ def _set(block, key, value):
         "run-eps-infinity", "eps-big-infinity", "t-infinity", "functional-hi-infinity",
         "model-param-infinity", "direction-modes-nan", "log-harnack-h-modes-only",
         "log-harnack-h1-modes-only", "continuity-h1-modes-only", "seed-2-pow-64-plus-5",
-        "seed-override-2-pow-64", "eps-small-above-eps-big"])
+        "seed-override-2-pow-64", "eps-small-above-eps-big", "lone-eps-small-above-default",
+        "lone-eps-big-at-default"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:
@@ -385,6 +392,40 @@ def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     path = write_config(tmp_path, cfg)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, key, bad, library", [
+    ("run", "eps", 0.0,
+     lambda v, lab: solve_path(lab.h, "penalized", lab.model, lab.grid, NoisePlan(1), eps=v)),
+    ("run", "eps_ladder", [1e-2],
+     lambda v, lab: check_eps_convergence(lab.h, lab.model, lab.grid, v, 4, seed=1)),
+    ("check", "eps_ladder", [1e-2, -1e-3],
+     lambda v, lab: check_eps_convergence(lab.h, lab.model, lab.grid, v, 4, seed=1)),
+    ("check", "ladder", [1.0, 2.0], lambda v, lab: check_initial_continuity(
+        lab.h, 0.5 * lab.h, 2.0, "reflected", lab.model, lab.grid, 4, seed=1, ladder=v)),
+    ("check", "p", 0.5, lambda v, lab: check_initial_continuity(
+        lab.h, 0.5 * lab.h, v, "reflected", lab.model, lab.grid, 4, seed=1)),
+    ("check", "eps_big", 1e-3, lambda v, lab: check_eps_monotonicity(
+        lab.h, lab.model, lab.grid, v, verify.EPS_SMALL, 4, seed=1)),
+    ("check", "eps_small", 0.05, lambda v, lab: check_eps_monotonicity(
+        lab.h, lab.model, lab.grid, verify.EPS_BIG, v, 4, seed=1)),
+], ids=["run-eps", "run-eps-ladder", "check-eps-ladder", "check-ladder", "check-p",
+        "check-eps-big", "check-eps-small"])
+def test_config_error_is_the_library_rule_behind_the_field(block, key, bad, library):
+    # one statement per rule: the config puts the field path in front of what the
+    # library function that uses the value raises for it (lone eps keys meet the
+    # other key's default, as the comparison run does)
+    cfg = small_check_config()
+    grid, model = build_grid(cfg), build_model(cfg)
+    lab = SimpleNamespace(grid=grid, model=model, h=initial_field(grid, [0.5])[0])
+    with pytest.raises(ValueError) as raised:
+        library(bad, lab)
+    if key == "eps":
+        cfg["run"]["mode"] = "penalized"
+    cfg[block][key] = bad
+    with pytest.raises(ConfigError) as rejected:
+        validate_config(cfg)
+    assert str(rejected.value) == f"{block}.{key}: {raised.value}"
 
 
 @pytest.mark.parametrize("name", ["gradient", "variance", "lipschitz", "log-harnack"])

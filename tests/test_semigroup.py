@@ -173,6 +173,20 @@ class TestFunctionalCatalogue:
         with pytest.raises(ValueError, match="mystery"):
             Functional("mystery", e1, grid.dx)
 
+    @pytest.mark.parametrize("name, build", [
+        ("offset", lambda e1, dx: clipped_affine(e1, dx, offset=math.nan)),
+        ("sharpness", lambda e1, dx: bounded_cylinder(e1, dx, sharpness=math.nan)),
+        ("center", lambda e1, dx: bounded_cylinder(e1, dx, center=math.nan)),
+        ("phi", lambda e1, dx: clipped_affine(np.where(np.arange(e1.size) == 3, math.nan, e1), dx)),
+        ("dx", lambda e1, dx: clipped_affine(e1, math.nan)),
+        ("hi", lambda e1, dx: exp_neg_pair(e1, dx, lo=0.0, hi=math.inf)),
+    ], ids=["offset-nan", "sharpness-nan", "center-nan", "phi-nan", "dx-nan", "exp-neg-pair-hi-inf"])
+    def test_non_finite_argument_rejected_naming_it(self, small, name, build):
+        # each used to build, then return nan or inf from value and grad_norm
+        grid, _, e1, _ = small
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            build(e1, grid.dx)
+
     @pytest.mark.parametrize("build", [
         lambda e1, dx: clipped_affine(e1, dx, lo=0.5, hi=0.2),
         lambda e1, dx: bounded_cylinder(e1, dx, lo=1.0, hi=0.0),
