@@ -5,7 +5,7 @@ The noise source is counter-based: the Gaussian block for a given
 independent of evaluation order, batching, or thread scheduling.  The exact
 counter-to-Gaussian mapping (Philox4x64-10 + Box-Muller) is frozen in
 docs/noise.md so that other implementations can reproduce the streams
-bit for bit.  The raw words come from numpy's compiled Philox, one
+bit for bit.  The uniforms come from numpy's compiled Philox, one
 generator per process under one lock, whose counter, key and buffer
 position are written into its C state for each (seed, stream, step).
 """
@@ -137,7 +137,6 @@ class NoisePlan:
     stream_id: int = 0
 
 
-_TWO53_INV = 1.0 / 9007199254740992.0  # 2**-53
 _PHILOX_LOCK = threading.Lock()  # held over a call's whole stream loop: see docs/noise.md
 
 
@@ -156,7 +155,7 @@ class _PhiloxState(ctypes.Structure):
 
 @functools.cache
 def _philox():
-    """The process's Philox ``random_raw``, C state, counter and key words; call under the lock.
+    """The process's Philox ``Generator.random``, C state, counter and key words; call under the lock.
 
     The bound method holds the generator, which keeps the memory behind the
     views alive; numpy sets the counter and key pointers once, at construction.
@@ -167,14 +166,14 @@ def _philox():
     if (list(ctr), list(key), state.buffer_pos) != ([1, 2, 3, 4], [5, 6], 4):
         raise RuntimeError(f"numpy {np.__version__}: Philox C state layout differs "
                            "from the one docs/noise.md describes")
-    return gen.random_raw, state, ctr, key
+    return np.random.Generator(gen).random, state, ctr, key
 
 
-def _philox_raw(master_seed: int, stream_ids, step: int, n_raw: int) -> np.ndarray:
-    """Raw uint64 stream per (seed, stream, step), shape (n_raw, n_streams).
+def _uniforms(master_seed: int, stream_ids, step: int, n_u: int) -> np.ndarray:
+    """Uniforms (r >> 11) * 2^-53 per (seed, stream, step), shape (n_u, n_streams).
 
-    Column s is numpy.random.Philox(counter=step << 128,
-    key=[master_seed, stream_ids[s]]).random_raw(n_raw): under the lock, the
+    Column s is numpy.random.Generator(numpy.random.Philox(counter=step << 128,
+    key=[master_seed, stream_ids[s]])).random(n_u): under the lock, the
     process's compiled Philox4x64-10 gets counter [0, 0, step, 0], key
     [master_seed, stream] and an empty buffer written into its C state, and
     each stream draws whole four-word blocks, which leave the buffer empty.
@@ -182,40 +181,36 @@ def _philox_raw(master_seed: int, stream_ids, step: int, n_raw: int) -> np.ndarr
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
     streams = np.asarray(stream_ids, dtype=np.uint64).tolist()
-    n_words = -(-n_raw // 4) * 4
-    out = np.empty((len(streams), n_words), dtype=np.uint64)
+    out = np.empty((len(streams), -(-n_u // 4) * 4))
     with _PHILOX_LOCK:
-        random_raw, state, ctr, key = _philox()
+        random, state, ctr, key = _philox()
         ctr[:] = (0, 0, step % (1 << 64), 0)
         key[0] = master_seed % (1 << 64)
         state.buffer_pos = 4  # empty buffer: each stream's first block is at counter [1, 0, step, 0]
-        for row, stream in enumerate(streams):
-            ctr[0] = 0  # random_raw advances only this word: n_words / 4 blocks cannot wrap it
+        for row, stream in zip(out, streams):
+            ctr[0] = 0  # random advances only this word: a row's blocks cannot wrap it
             key[1] = stream
-            out[row] = random_raw(n_words)
-    return out[:, :n_raw].T
+            random(out=row)
+    return out[:, :n_u].T
 
 
 def _gaussian_block(master_seed: int, stream_ids, step: int, n: int, scale: float) -> np.ndarray:
-    """Box-Muller normals from the raw stream times ``scale``, shape (n, n_streams).
+    """Box-Muller normals from the uniforms times ``scale``, shape (n, n_streams).
 
-    Pair 2i, 2i+1 of raws maps to u1 = (r0 >> 11)*2^-53, u2 = (r1 >> 11)*2^-53,
-    then z0 = sqrt(-2 log(1-u1)) cos(2 pi u2), z1 = the sin twin.  The
-    radii and angles are computed in place in a new block of uniforms, and
-    the scaled normals are written into the returned array; each value gets
-    the same operations in the same order as the formulas above.
+    Pair 2i, 2i+1 of uniforms (u1, u2) maps to z0 = sqrt(-2 log(1-u1))
+    cos(2 pi u2), z1 = the sin twin.  The radii and angles are computed in
+    place in the uniform block, and the scaled normals are written into the
+    returned array; each value gets the same operations in the same order
+    as the formulas above.
     """
-    n_pairs = -(-n // 2)
-    raw = _philox_raw(master_seed, stream_ids, step, 2 * n_pairs)
-    raw >>= np.uint64(11)
-    u = np.multiply(raw, _TWO53_INV)
+    u = _uniforms(master_seed, stream_ids, step, 2 * -(-n // 2))
     u1, u2 = u[0::2], u[1::2]
     np.negative(u1, out=u1)
     np.log1p(u1, out=u1)
     np.multiply(-2.0, u1, out=u1)
     r = np.sqrt(u1, out=u1)
     theta = np.multiply(2.0 * np.pi, u2, out=u2)
-    z = np.empty((n, raw.shape[1]))
+    z = np.empty((n, u.shape[1]))
     z0, z1 = z[0::2], z[1::2]
     np.multiply(r, np.cos(theta, out=z0), out=z0)
     n_sin = z1.shape[0]

@@ -336,6 +336,10 @@ def _set(block, key, value):
 @pytest.mark.parametrize("argv, edit, field", [
     (["simulate", "--paths", "0"], None, "run.n_paths"),
     (["check", "comparison", "--paths", "0"], None, "run.n_paths"),
+    # stream ids [0, n_paths) must lie in [0, 2**64): the run used to fail
+    # with a bare ValueError that named no field
+    (["check", "comparison"], _set("run", "n_paths", 2**64 + 1), "run.n_paths"),
+    (["converge-eps", "--paths", str(2**64 + 1)], None, "run.n_paths"),
     (["converge-eps", "--seed", "-1"], None, "run.seed"),
     (["check", "variance"], None, "check.functional"),
     (["check", "gradient"], _set("check", "t", "abc"), "check.t"),
@@ -376,7 +380,8 @@ def _set(block, key, value):
     # time, and the run failed with a message that named no field
     (["check", "comparison"], _set("check", "eps_small", 0.05), "check.eps_small"),
     (["check", "comparison"], _set("check", "eps_big", 1e-3), "check.eps_big"),
-], ids=["simulate-paths-0", "comparison-paths-0", "converge-eps-seed-neg", "no-functional",
+], ids=["simulate-paths-0", "comparison-paths-0", "comparison-paths-2-pow-64-plus-1",
+        "converge-eps-paths-2-pow-64-plus-1", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
         "penalty-comparison", "functional-lo-above-hi", "h-modes-string", "save-at-off-mesh",
         "run-h-modes-entry", "check-h-modes-entry", "h1-modes-entry", "h2-modes-bool-entry",

@@ -19,7 +19,7 @@ from rspde.grid_noise import (
     sample_increments,
     sine_profile,
     sup_norm,
-    _philox_raw,
+    _uniforms,
 )
 
 
@@ -68,6 +68,17 @@ def philox_reference(master_seed, stream_ids, step, n_raw):
     # (4, n_blocks, S) -> word order 4*j + q per stream column
     out = np.stack((c0, c1, c2, c3)).reshape(4, n_blocks, n_streams)
     return out.transpose(1, 0, 2).reshape(4 * n_blocks, n_streams)[:n_raw]
+
+
+def uniform_reference(master_seed, stream_ids, step, n_u):
+    """Uniforms (r >> 11) * 2**-53 of the reference words, shape (n_u, n_streams)."""
+    return (philox_reference(master_seed, stream_ids, step, n_u) >> np.uint64(11)) * 2.0**-53
+
+
+def uniform_oracle(master_seed, stream, step, n_u):
+    """numpy's own Philox built from (counter, key), through ``Generator.random``."""
+    bitgen = np.random.Philox(counter=step << 128, key=master_seed + (stream << 64))
+    return np.random.Generator(bitgen).random(n_u)
 
 
 NOISE_SEEDS = [0, 1, 2**63 + 5, 2**64 - 1]
@@ -172,29 +183,44 @@ class TestNoiseDeterminism:
 
     def test_philox_matches_numpy_oracle(self):
         # the documented contract: the raw stream equals numpy's Philox built
-        # from (counter, key) and the round recap of docs/noise.md
+        # from (counter, key) and the round recap of docs/noise.md, and the
+        # uniforms are its words mapped by Generator.random; seed 2**64 - 1
+        # with stream 0 is key 2**64 - 1
         for seed in NOISE_SEEDS:
             for step in NOISE_STEPS:
                 for streams in [s for sets in NOISE_STREAM_SETS.values() for s in sets]:
                     for n in (63, 64):
-                        mine = _philox_raw(seed, np.array(streams, dtype=np.uint64), step, n)
+                        mine = _uniforms(seed, np.array(streams, dtype=np.uint64), step, n)
+                        words = philox_reference(seed, streams, step, n)
                         assert mine.shape == (n, len(streams))
-                        assert np.array_equal(mine, philox_reference(seed, streams, step, n))
+                        assert np.array_equal(mine, (words >> np.uint64(11)) * 2.0**-53)
                         for col in (0, len(streams) // 2, len(streams) - 1):
-                            oracle = np.random.Philox(
+                            raw = np.random.Philox(
                                 counter=step << 128, key=seed + (streams[col] << 64)
                             ).random_raw(n)
+                            assert np.array_equal(words[:, col], raw)
+                            oracle = uniform_oracle(seed, streams[col], step, n)
                             assert np.array_equal(mine[:, col], oracle)
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           streams=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+           step=st.integers(0, 2**64 - 1), n_u=st.integers(1, 70))
+    @settings(max_examples=60, deadline=None)
+    def test_uniforms_match_reference(self, seed, streams, step, n_u):
+        # partial blocks at every n_u mod 4, at keys and steps up to 2**64 - 1
+        mine = _uniforms(seed, streams, step, n_u)
+        assert mine.shape == (n_u, len(streams))
+        assert np.array_equal(mine, uniform_reference(seed, streams, step, n_u))
 
     @pytest.mark.parametrize("width", sorted(NOISE_STREAM_SETS))
     def test_increments_from_reference_words(self, monkeypatch, width):
-        # Box-Muller gives the same bits whether the words come from the
-        # compiled generator or from the reference, at a step past 2**40
+        # Box-Muller gives the same bits whether the uniforms come from the
+        # compiled generator or from the reference words, at a step past 2**40
         grid = make_grid(63, 1e-3, 1e-3 * (2**40 + 4))
         plan = NoisePlan(2**63 + 5)
         streams = NOISE_STREAM_SETS[width][-1]
         fast = increments_matrix(plan, grid, 2**40 + 3, streams)
-        monkeypatch.setattr(grid_noise, "_philox_raw", philox_reference)
+        monkeypatch.setattr(grid_noise, "_uniforms", uniform_reference)
         assert fast.tobytes() == increments_matrix(plan, grid, 2**40 + 3, streams).tobytes()
 
     def test_batched_equals_single(self):
@@ -222,7 +248,7 @@ class TestNoiseDeterminism:
             sample_increments(NoisePlan(1), grid, 5)
 
     def test_golden_values_frozen(self):
-        # pins the full documented pipeline (Philox raws -> Box-Muller ->
+        # pins the full documented pipeline (Philox uniforms -> Box-Muller ->
         # sqrt(dt*dx) scale) so the stream definition cannot drift silently
         grid = make_grid(127, 1e-3, 0.5)
         v = sample_increments(NoisePlan(42, 7), grid, 3)
@@ -277,7 +303,7 @@ class TestNoiseThreads:
             assert got.tobytes() == serial[t].tobytes()
 
     def test_reset_after_partial_block(self):
-        # an n_raw that is not a multiple of four, odd or even, takes words
+        # an n_u that is not a multiple of four, odd or even, takes words
         # from a part of a block; every later stream must still start from
         # an empty buffer at counter [1, 0, step, 0]
         calls = [(5, 7, 3, [0, 2**64 - 1]), (64, 9, 0, [2**64 - 1]),
@@ -286,20 +312,18 @@ class TestNoiseThreads:
         got = []
 
         def run():
-            for n_raw, seed, step, streams in calls:
-                got.append(_philox_raw(seed, streams, step, n_raw))
+            for n_u, seed, step, streams in calls:
+                got.append(_uniforms(seed, streams, step, n_u))
 
         th = threading.Thread(target=run)
         th.start()
         th.join(timeout=60)
         assert len(got) == len(calls)
-        for (n_raw, seed, step, streams), words in zip(calls, got):
-            assert words.shape == (n_raw, len(streams))
-            assert np.array_equal(words, philox_reference(seed, streams, step, n_raw))
+        for (n_u, seed, step, streams), u in zip(calls, got):
+            assert u.shape == (n_u, len(streams))
+            assert np.array_equal(u, uniform_reference(seed, streams, step, n_u))
             for col, stream in enumerate(streams):
-                oracle = np.random.Philox(counter=step << 128,
-                                          key=seed + (stream << 64)).random_raw(n_raw)
-                assert np.array_equal(words[:, col], oracle)
+                assert np.array_equal(u[:, col], uniform_oracle(seed, stream, step, n_u))
 
     def test_held_lock_blocks_a_call_until_released(self):
         # the generator is shared: a call waits for the lock, then gives
