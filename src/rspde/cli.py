@@ -209,9 +209,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "bounds":
             return cmd_bounds(args.L_b, args.L_sigma, args.kappa1, args.t)
-        file_cfg = cfgmod.load_config(args.config)
+        file_cfg = cfgmod.load_config(args.config, validate=False)
         overrides = {k: v for k, v in (("seed", args.seed), ("n_paths", args.paths)) if v is not None}
-        cfg = {**file_cfg, "run": {**file_cfg["run"], **overrides}}
+        run = file_cfg.get("run") if isinstance(file_cfg, dict) else None
+        # validated once, with the overrides written in; a file with no run block is left
+        # for validate_config to name
+        cfg = {**file_cfg, "run": {**run, **overrides}} if isinstance(run, dict) else file_cfg
         cfgmod.validate_config(cfg)
         if args.command == "simulate":  # hashes the config with its overrides written in
             return cmd_simulate(cfg, args.out, args.format)

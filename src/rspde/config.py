@@ -38,18 +38,21 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
-def parse_config(text: str) -> dict:
+def parse_config(text: str, validate: bool = True) -> dict:
+    """The config in ``text``; ``validate=False`` leaves ``validate_config`` to a
+    caller that edits the config first."""
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validate_config(cfg)
+    if validate:
+        validate_config(cfg)
     return cfg
 
 
-def load_config(path) -> dict:
+def load_config(path, validate: bool = True) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return parse_config(fh.read(), validate)
 
 
 def dumps_config(cfg: dict) -> str:

@@ -226,11 +226,15 @@ def _check_streams(n_paths: int, stream_offset: int = 0) -> None:
 
 def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
                  grid: SpaceTimeGrid, seed: int, n_paths: int, eps: float | None = None,
-                 stream_offset: int = 0, track_sup_pairs=None):
+                 stream_offset: int = 0, track_sup_pairs=None, per_path=None):
     """Integrate V field variants over n_paths streams in lockstep.
 
-    Returns final fields of shape (V, n_space, n_paths); when
-    ``track_sup_pairs`` lists variant index pairs, also returns the running
+    With ``per_path=None`` returns the final fields, shape (V, n_space, n_paths).
+    ``per_path`` is a sequence of R functions, each mapping one variant's final
+    chunk field (n_space, width) to its per-path values (width,); each chunk
+    applies them per variant as it finishes, and the pass returns the values in
+    stream order, shape (V, R, n_paths), so no field array outlives its chunk.
+    When ``track_sup_pairs`` lists variant index pairs, also returns the running
     sup over time and space of |U_i - U_j| per path, shape (n_pairs, n_paths)
     (the supremum includes t = 0).
 
@@ -252,7 +256,8 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
     stage = ((lambda v: penalty_resolvent(v, q, model.penalty_kind, out=v)) if mode == "penalized"
              else (lambda v: _project(v, grid)))
 
-    out = np.empty((V, n, n_paths))
+    reductions = None if per_path is None else list(per_path)
+    out = np.empty((V, n if reductions is None else len(reductions), n_paths))
     sup_out = np.zeros((len(pairs), n_paths))
 
     def do_chunk(lo: int, hi: int):
@@ -263,7 +268,12 @@ def run_ensemble(h_variants, n_run_steps, mode, model: CoefficientModel,
         for _ in _lockstep(U, [stage], lambda m: increments_matrix(plan, grid, m, streams)[:, None, :],
                            n_run_steps, model, grid, streams):
             _track_sup(sup, U[0], pairs)
-        out[:, :, lo:hi] = U[0].transpose(1, 0, 2)
+        if reductions is None:
+            out[:, :, lo:hi] = U[0].transpose(1, 0, 2)
+            return
+        for v in range(V):  # per variant: BLAS rounds a product's columns by its width
+            for r, f in enumerate(reductions):
+                out[v, r, lo:hi] = f(U[0][:, v, :])
 
     ranges = _chunk_ranges(n_paths)
     workers = min(_n_threads(), len(ranges))
@@ -319,18 +329,19 @@ def _estimate(phi, per_path, reduce, h, t, mode, model, grid, n_paths, seed, eps
               at_t0=None) -> MCEstimate:
     """Shared body of the scalar estimators.
 
-    Runs one V=1 pass of streams 0..n_paths-1 from h to time t, maps the
-    final fields to per-path values with ``per_path`` and reduces them to
-    the estimate's (mean, std_error) with ``reduce``.  At t = 0 every path
-    sits at h: the mean is ``at_t0`` (default per_path(h)) and the std
-    error 0.  The run rules hold at every t.
+    Runs one V=1 pass of streams 0..n_paths-1 from h to time t, in which each
+    chunk maps its final fields to per-path values with ``per_path``, and
+    reduces the values to the estimate's (mean, std_error) with ``reduce``.
+    At t = 0 every path sits at h: the mean is ``at_t0(h)`` (default
+    per_path(h)) and the std error 0.  The run rules hold at every t.
     """
     h = _check_estimator(phi, h, mode, eps, grid, n_paths)
     n_steps = grid.step_of(t)
     if n_steps == 0:
-        return MCEstimate(float(per_path(h)) if at_t0 is None else at_t0, 0.0)
-    U = run_ensemble(h[None, :], n_steps, mode, model, grid, seed, n_paths, eps=eps)
-    return MCEstimate(*reduce(per_path(U[0])))
+        return MCEstimate(float((at_t0 or per_path)(h)), 0.0)
+    values = run_ensemble(h[None, :], n_steps, mode, model, grid, seed, n_paths, eps=eps,
+                          per_path=[per_path])
+    return MCEstimate(*reduce(values[0, 0]))
 
 
 def estimate_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
@@ -343,15 +354,15 @@ def estimate_Pt_log(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps
     if not phi.strictly_positive:
         raise ValueError("estimate_Pt_log needs a strictly positive functional (lo > 0)")
 
-    def log_value(U):
-        values = phi.value(U)
+    def checked_log(values):
         if np.min(values) < phi.lo * (1.0 - 1e-12):
             raise FunctionalContractError(
                 f"sampled value {np.min(values)} below declared lower bound {phi.lo}"
             )
         return np.log(values)
 
-    return _estimate(phi, log_value, _mean_se, h, t, mode, model, grid, n_paths, seed, eps)
+    return _estimate(phi, phi.value, lambda values: _mean_se(checked_log(values)), h, t, mode,
+                     model, grid, n_paths, seed, eps, at_t0=lambda h: checked_log(phi.value(h)))
 
 
 def estimate_Pt_grad_sq(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
@@ -361,7 +372,8 @@ def estimate_Pt_grad_sq(phi: Functional, h, t, mode, model, grid, n_paths, seed,
 
 def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, eps=None) -> MCEstimate:
     """Unbiased sample variance of Phi(u(t; h)) with its asymptotic std error."""
-    return _estimate(phi, phi.value, _variance_se, h, t, mode, model, grid, n_paths, seed, eps, at_t0=0.0)
+    return _estimate(phi, phi.value, _variance_se, h, t, mode, model, grid, n_paths, seed, eps,
+                     at_t0=lambda h: 0.0)
 
 
 class Directions(NamedTuple):
@@ -458,9 +470,10 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
             per_direction.append((label, fd, 0.0))
     else:
         stacked = np.stack([f for pair in variants for f in pair])
-        U = run_ensemble(stacked, n_steps, mode, model, grid, seed, n_paths, eps=eps)
+        values = run_ensemble(stacked, n_steps, mode, model, grid, seed, n_paths, eps=eps,
+                              per_path=[phi.value])[:, 0]
         for i, label in enumerate(kept):
-            diffs = (phi.value(U[2 * i]) - phi.value(U[2 * i + 1])) / (2.0 * delta)
+            diffs = (values[2 * i] - values[2 * i + 1]) / (2.0 * delta)
             per_direction.append((label, *_mean_se(diffs)))
 
     label, value, std_error = max(per_direction, key=lambda d: abs(d[1]))  # first of any ties

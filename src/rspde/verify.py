@@ -250,7 +250,7 @@ def check_initial_continuity(h1, h2, p, mode, model: CoefficientModel,
     variants = [h1] + [h1 + s * diff for s in ladder]
     pairs = [(0, 1 + j) for j in range(len(ladder))]
     _, sups = run_ensemble(np.stack(variants), grid.n_steps, mode, model, grid,
-                           seed, n_paths, eps=eps, track_sup_pairs=pairs)
+                           seed, n_paths, eps=eps, track_sup_pairs=pairs, per_path=[])
     sup_diffs = [float(sup_norm(s * diff)) for s in ladder]
     ratios, ses = [], {}
     for j, s in enumerate(ladder):

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rspde import semigroup, verify
+from rspde import config as config_module, semigroup, verify
 from rspde.cli import _write_csv, cmd_bounds, main
 from rspde.config import (
     ConfigError,
@@ -397,6 +397,37 @@ def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     path = write_config(tmp_path, cfg)
     assert main([*argv, "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["check", "comparison", "--seed", "3"], ["check", "variance"],
+                                  ["simulate", "--paths", "2"], ["simulate"]],
+                         ids=["check-override", "check", "simulate-override", "simulate"])
+def test_main_validates_the_config_once(tmp_path, monkeypatch, argv):
+    # main used to validate the file and then again the copy with --seed and
+    # --paths written in; it validates only the copy it runs
+    calls = []
+    real = config_module.validate_config
+    monkeypatch.setattr(config_module, "validate_config", lambda cfg: calls.append(cfg) or real(cfg))
+    cfg = small_check_config(functional=FUNCTIONAL)
+    cfg["run"]["n_paths"] = 2
+    assert main([*argv, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "config error: config is not valid JSON"),
+    ("[1, 2]", "config error: config root must be an object"),
+    ('{"grid": {"n_space": 15, "dt": 0.01, "t_final": 0.1}, "model": {"name": "constant"}}',
+     "config error: run: missing required block"),
+    ('{"grid": {"n_space": 15, "dt": 0.01, "t_final": 0.1}, "model": {"name": "constant"}, '
+     '"run": [1]}', "config error: run: missing required block"),
+], ids=["not-json", "root-list", "no-run-block", "run-not-an-object"])
+def test_malformed_file_with_overrides_names_it(tmp_path, capsys, text, message):
+    # the overrides are written into the file's run block only when there is one
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["check", "comparison", "--config", str(path), "--seed", "3", "--paths", "2"]) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize("block, key, bad, library", [

@@ -318,6 +318,57 @@ class TestRunEnsemble:
         field_bytes = grid.n_space * 16 * 256 * 8
         assert (peak - out.nbytes) / field_bytes <= 3.5
 
+    @pytest.mark.parametrize("n_paths", [2, 3, 5, 255, 256, 260, 700, 1001])
+    @pytest.mark.parametrize("n_variants", [1, 16])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_per_path_values_match_the_fields_bitwise(self, monkeypatch, threads, n_variants,
+                                                      n_paths):
+        # each chunk reduces its own columns, variant by variant; these widths
+        # leave no last chunk of 1-3 streams, which BLAS rounds by another path
+        monkeypatch.setenv("RSPDE_THREADS", threads)
+        grid = make_grid(63, 2.5e-3, 0.25)
+        model = sin_modulated_model()
+        H = np.abs(np.random.default_rng(n_variants).normal(size=(n_variants, grid.n_space)))
+        phi = clipped_affine(spectral_basis(63).modes[0], grid.dx, offset=0.5, lo=0.0, hi=50.0)
+        fns = [phi.value, phi.grad_sq, lambda u: np.max(u, axis=0)]
+        values = run_ensemble(H, 3, "reflected", model, grid, seed=6, n_paths=n_paths, per_path=fns)
+        U = run_ensemble(H, 3, "reflected", model, grid, seed=6, n_paths=n_paths)
+        assert values.shape == (n_variants, len(fns), n_paths)
+        for v in range(n_variants):
+            for r, f in enumerate(fns):
+                assert values[v, r].tobytes() == f(U[v]).tobytes()
+
+    def test_empty_per_path_keeps_the_sups(self, small):
+        grid, model, _, h = small
+        H = np.stack([h, 0.5 * h])
+        U, sups = run_ensemble(H, 4, "reflected", model, grid, seed=7, n_paths=3,
+                               track_sup_pairs=[(0, 1)])
+        values, same = run_ensemble(H, 4, "reflected", model, grid, seed=7, n_paths=3,
+                                    track_sup_pairs=[(0, 1)], per_path=[])
+        assert values.shape == (2, 0, 3)
+        assert same.tobytes() == sups.tobytes()
+
+    def test_gradient_pass_holds_no_field_array(self, monkeypatch):
+        # one thread, 16 variants, 1024 streams: the pass reduces each chunk as it
+        # finishes, so it peaks below the (16, 63, 1024) field array alone (4 chunk
+        # fields, 8.3 MB), which the estimator held before it read its values
+        monkeypatch.setenv("RSPDE_THREADS", "1")
+        grid = make_grid(63, 2.5e-3, 0.25)
+        model = sin_modulated_model()
+        e1 = spectral_basis(63).modes[0]
+        h = np.maximum(1.5 * e1, 0.0)
+        phi = clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0)
+        directions = direction_dictionary(grid, 8, include_parts=False)
+        args = (phi, h, 3 * grid.dt, "reflected", model, grid)
+        estimate_grad_Pt(*args, 256, seed=3, directions=directions)  # warm the caches
+        tracemalloc.start()
+        try:
+            estimate_grad_Pt(*args, 1024, seed=3, directions=directions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (grid.n_space * 16 * 256 * 8) <= 3.5
+
     @pytest.mark.parametrize("kwargs, name", [
         ({"n_run_steps": -3}, "n_run_steps"),
         ({"n_run_steps": 51}, "n_run_steps"),

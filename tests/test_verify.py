@@ -476,6 +476,22 @@ def test_report_json_keys_and_verdict(tiny, name):
         assert blob["verdict"] == report.verdict
 
 
+@pytest.mark.parametrize("name", ["gradient", "log-harnack", "variance", "lipschitz", "continuity"])
+def test_checks_take_per_path_values_not_fields(tiny, monkeypatch, name):
+    # every pass a check runs reduces its chunks to per-path values, so no
+    # check holds the (V, n_space, n_paths) field array
+    passes = []
+
+    def spy(*args, **kwargs):
+        passes.append(kwargs.get("per_path"))
+        return run_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(semigroup, "run_ensemble", spy)
+    monkeypatch.setattr(verify, "run_ensemble", spy)
+    SEVEN_CHECKS[name](*tiny)
+    assert passes and all(fns is not None for fns in passes)
+
+
 BOUND_CHECKS = [
     (check_gradient_estimate, 1),
     (check_log_harnack, 2),
