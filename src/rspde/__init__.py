@@ -28,7 +28,6 @@ from .grid_noise import (
 )
 from .heat import heat_apply, implicit_step
 from .semigroup import (
-    Directions,
     Functional,
     MCEstimate,
     bounded_cylinder,

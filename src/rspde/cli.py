@@ -65,7 +65,6 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
     mode = run["mode"]
     eps = run.get("eps")
     seed = run["seed"]
-    save_at = run.get("save_at", [grid.t_final])
     h, clip_dist = cfgmod.initial_field(grid, run.get("h_modes", cfg.get("check", {}).get("h_modes")))
     os.makedirs(out_dir, exist_ok=True)
     cfg_hash = cfgmod.config_hash(cfg)
@@ -82,7 +81,8 @@ def cmd_simulate(cfg: dict, out_dir: str, fmt: str = "csv") -> int:
         "files": [],
     }
     for stream in range(run["n_paths"]):
-        traj = solve_path(h, mode, model, grid, NoisePlan(seed, stream), save_at=save_at, eps=eps)
+        traj = solve_path(h, mode, model, grid, NoisePlan(seed, stream), save_at=run.get("save_at"),
+                          eps=eps)
         base = f"trajectory_{stream:03d}"
         if fmt in ("csv", "both"):
             columns = {"t": np.repeat(traj.times, grid.n_space),
@@ -129,12 +129,11 @@ def _run_named_check(name: str, cfg: dict, m_scale: float):
             eps_small=float(chk.get("eps_small", verify.EPS_SMALL)),
             n_paths=n_paths, seed=seed,
         )
-    if name == "continuity":
+    if name == "continuity":  # a ladder the config leaves out is the library's default
+        ladder = {"ladder": chk["ladder"]} if "ladder" in chk else {}
         return verify.check_initial_continuity(
             point("h1_modes"), point("h2_modes"), float(chk.get("p", 2.0)), mode, model, grid,
-            n_paths=n_paths, seed=seed, eps=eps,
-            ladder=tuple(chk.get("ladder", (1.0, 0.5, 0.25))),
-        )
+            n_paths=n_paths, seed=seed, eps=eps, **ladder)
     if name not in _BOUND_CHECKS:
         raise ConfigError(f"unknown check {name!r}")
     fields = [point("h1_modes"), point("h2_modes")] if name == "log-harnack" else [h]

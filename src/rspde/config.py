@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .coefficients import CoefficientModel, model_from_config
-from .grid_noise import SpaceTimeGrid, make_grid, project_nonneg, sine_profile
+from .grid_noise import NoisePlan, SpaceTimeGrid, make_grid, project_nonneg, sine_profile
 from .semigroup import _check_positive, _check_streams, functional_from_config
 from .solver import _check_mode
 from .verify import EPS_BIG, EPS_SMALL, _check_eps_pair, _check_ladder, _check_p, _check_rungs
@@ -133,7 +133,7 @@ def validate_config(cfg: dict) -> None:
     if mode == "penalized":
         _need(r, "run", "eps", (int, float), desc="number", rule=lambda v: _check_mode(mode, v))
     _need(r, "run", "n_paths", int, desc="integer", rule=_check_streams)
-    _need(r, "run", "seed", int, lambda v: 0 <= v < 2 ** 64, "integer in [0, 2**64)")
+    _need(r, "run", "seed", int, desc="integer", rule=NoisePlan)
     _optional(r, "run", "save_at", list, _numbers, "a list of times",
               lambda times: [grid.step_of(t) for t in times])
     _optional(r, "run", "h_modes", list, _numbers, "a list of mode coefficients")

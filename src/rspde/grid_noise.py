@@ -131,10 +131,14 @@ def sine_profile(grid: SpaceTimeGrid, coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoisePlan:
-    """Keys one reproducible noise stream."""
+    """Keys one reproducible noise stream; every run builds one, so it states the seed rule."""
 
     master_seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.master_seed!r}")
 
 
 _PHILOX_LOCK = threading.Lock()  # held over a call's whole stream loop: see docs/noise.md
@@ -185,7 +189,7 @@ def _uniforms(master_seed: int, stream_ids, step: int, n_u: int) -> np.ndarray:
     with _PHILOX_LOCK:
         random, state, ctr, key = _philox()
         ctr[:] = (0, 0, step % (1 << 64), 0)
-        key[0] = master_seed % (1 << 64)
+        key[0] = master_seed
         state.buffer_pos = 4  # empty buffer: each stream's first block is at counter [1, 0, step, 0]
         for row, stream in zip(out, streams):
             ctr[0] = 0  # random advances only this word: a row's blocks cannot wrap it

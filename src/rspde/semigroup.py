@@ -18,7 +18,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +31,6 @@ __all__ = [
     "FunctionalContractError",
     "MCEstimate",
     "GradientEstimate",
-    "Directions",
     "clipped_affine",
     "exp_neg_pair",
     "bounded_cylinder",
@@ -186,8 +184,8 @@ class GradientEstimate:
     value: float
     std_error: float
     best_direction: str
-    per_direction: list  # (label, mean, std_error)
-    rejected: list       # (label, projection distance)
+    per_direction: dict  # label -> (mean, std_error)
+    rejected: dict       # label -> projection distance
     delta: float
 
 
@@ -376,34 +374,23 @@ def estimate_variance(phi: Functional, h, t, mode, model, grid, n_paths, seed, e
                      at_t0=lambda h: 0.0)
 
 
-class Directions(NamedTuple):
-    """Labelled probe directions for estimate_grad_Pt."""
-
-    labels: list
-    fields: list
-
-
-def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: bool = True) -> Directions:
+def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: bool = True) -> dict:
     """Unit-norm probe directions: low sine modes and their +/- parts.
 
-    Returns Directions(labels, fields) with every field of unit discrete L2 norm;
-    zero or duplicate parts (such as the negative part of the first mode)
-    are dropped.
+    Returns {label: field} in mode order, every field of unit discrete L2
+    norm; zero or duplicate parts (such as the negative part of the first
+    mode) are dropped.
     """
     basis = spectral_basis(grid.n_space, min(n_modes, grid.n_space))
-    labels: list[str] = []
-    fields: list[np.ndarray] = []
+    directions: dict[str, np.ndarray] = {}
 
     def push(label, vec):
         norm = float(l2_norm(vec, grid.dx))
         if norm < 1e-12:
             return
         unit = vec / norm
-        for existing in fields:
-            if np.max(np.abs(existing - unit)) < 1e-12:
-                return
-        labels.append(label)
-        fields.append(unit)
+        if all(np.max(np.abs(existing - unit)) >= 1e-12 for existing in directions.values()):
+            directions[label] = unit
 
     for i in range(min(n_modes, grid.n_space)):
         e = basis.modes[i]
@@ -411,7 +398,7 @@ def direction_dictionary(grid: SpaceTimeGrid, n_modes: int = 8, include_parts: b
         if include_parts:
             push(f"e{i+1}+", np.maximum(e, 0.0))
             push(f"e{i+1}-", np.maximum(-e, 0.0))
-    return Directions(labels, fields)
+    return directions
 
 
 def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
@@ -424,30 +411,27 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
     with shared noise; the proxy is the max over directions of
     |P_t Phi(h+) - P_t Phi(h-)| / (2 delta).
 
-    ``directions`` is a Directions of labelled unit fields; None means
-    direction_dictionary(grid).
+    ``directions`` is a dict {label: unit field}, read in insertion order;
+    None means direction_dictionary(grid).
     """
     h = _check_estimator(phi, h, mode, eps, grid, n_paths)
     if directions is None:
         directions = direction_dictionary(grid)
-    elif not isinstance(directions, Directions):
-        raise TypeError(f"directions must be a Directions or None, got {type(directions).__name__}")
-    labels, fields = directions
-    if len(fields) == 0:
+    elif not isinstance(directions, dict):
+        raise TypeError(f"directions must be a dict {{label: field}} or None, "
+                        f"got {type(directions).__name__}")
+    if not directions:
         raise ValueError("directions is empty: give at least one probe direction")
-    if len(labels) != len(fields):
-        raise ValueError(f"directions has {len(labels)} labels for {len(fields)} fields")
-    for label, k in zip(labels, fields):
+    for label, k in directions.items():
         if np.shape(k) != h.shape:
             raise ValueError(f"direction {label!r} has shape {np.shape(k)}, expected {h.shape}")
     if delta is None:
         delta = 1e-3 * max(float(l2_norm(h, grid.dx)), 1.0)
     _check_positive("delta", delta)
 
-    variants = []
-    kept = []
-    rejected = []
-    for label, k in zip(labels, fields):
+    variants = {}  # label -> (h+, h-)
+    rejected = {}
+    for label, k in directions.items():
         hp = np.maximum(h + delta * k, 0.0)
         hm = np.maximum(h - delta * k, 0.0)
         d_proj = max(
@@ -455,26 +439,23 @@ def estimate_grad_Pt(phi: Functional, h, t, mode, model, grid, n_paths, seed,
             float(l2_norm(hm - (h - delta * k), grid.dx)),
         )
         if d_proj > delta / 10.0:
-            rejected.append((label, d_proj))
-            continue
-        kept.append(label)
-        variants.append((hp, hm))
-    if not kept:
+            rejected[label] = d_proj
+        else:
+            variants[label] = (hp, hm)
+    if not variants:
         raise ValueError("all probe directions were rejected at the cone boundary")
 
     n_steps = grid.step_of(t)
-    per_direction = []
     if n_steps == 0:
-        for label, (hp, hm) in zip(kept, variants):
-            fd = float((phi.value(hp) - phi.value(hm)) / (2.0 * delta))
-            per_direction.append((label, fd, 0.0))
+        per_direction = {label: (float((phi.value(hp) - phi.value(hm)) / (2.0 * delta)), 0.0)
+                         for label, (hp, hm) in variants.items()}
     else:
-        stacked = np.stack([f for pair in variants for f in pair])
+        stacked = np.stack([f for pair in variants.values() for f in pair])
         values = run_ensemble(stacked, n_steps, mode, model, grid, seed, n_paths, eps=eps,
                               per_path=[phi.value])[:, 0]
-        for i, label in enumerate(kept):
-            diffs = (values[2 * i] - values[2 * i + 1]) / (2.0 * delta)
-            per_direction.append((label, *_mean_se(diffs)))
+        per_direction = {label: _mean_se((values[2 * i] - values[2 * i + 1]) / (2.0 * delta))
+                         for i, label in enumerate(variants)}
 
-    label, value, std_error = max(per_direction, key=lambda d: abs(d[1]))  # first of any ties
+    label = max(per_direction, key=lambda d: abs(per_direction[d][0]))  # first of any ties
+    value, std_error = per_direction[label]
     return GradientEstimate(abs(value), std_error, label, per_direction, rejected, delta)

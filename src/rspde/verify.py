@@ -174,7 +174,7 @@ def check_gradient_estimate(phi: Functional, h, t, mode, model: CoefficientModel
     return _gate("gradient", grad.value ** 2, factor * pgs.mean,
                  2.0 * grad.value * grad.std_error, factor * pgs.std_error, grid, seed,
                  t, n_paths, model, m_scale, best_direction=grad.best_direction,
-                 delta=grad.delta, rejected_directions=[lbl for lbl, _ in grad.rejected])
+                 delta=grad.delta, rejected_directions=list(grad.rejected))
 
 
 def check_log_harnack(phi: Functional, h1, h2, t, mode, model: CoefficientModel,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rspde import config as config_module, semigroup, verify
-from rspde.cli import _write_csv, cmd_bounds, main
+from rspde.cli import _write_csv, cmd_bounds, cmd_check, main
 from rspde.config import (
     ConfigError,
     build_grid,
@@ -370,7 +370,7 @@ def _set(block, key, value):
     (["check", "log-harnack"], lambda cfg: cfg["check"].update(
         h1_modes=[0.5], functional={**FUNCTIONAL, "lo": 0.1}), "check.h2_modes"),
     (["check", "continuity"], _set("check", "h1_modes", [0.5]), "check.h2_modes"),
-    # the noise key is the seed mod 2^64: this seed gave seed 5's numbers
+    # the noise key used to be the seed mod 2^64: this seed gave seed 5's numbers
     (["check", "variance"], _set("run", "seed", 2**64 + 5), "run.seed"),
     (["converge-eps", "--seed", str(2**64)], None, "run.seed"),
     # a reversed pair failed at run time with a message that named no field
@@ -380,6 +380,15 @@ def _set(block, key, value):
     # time, and the run failed with a message that named no field
     (["check", "comparison"], _set("check", "eps_small", 0.05), "check.eps_small"),
     (["check", "comparison"], _set("check", "eps_big", 1e-3), "check.eps_big"),
+    (["check", "variance"],
+     _set("check", "functional", {"kind": "exp_neg_pair", "direction_modes": [1.0], "lo": 0.5,
+                                  "hi": 0.5}),
+     "check.functional: need 0 <= lo < hi"),
+    (["simulate"], lambda cfg: cfg["model"].update(name="affine_clamped",
+                                                   params={"s_lo": 2.0, "s_hi": 1.0}),
+     "model.params: need 0 < s_lo < s_hi"),
+    (["simulate"], _set("model", "params", {"s_amp": 1.5}), "model.params: need |s_amp| < s_base"),
+    (["check", "comparison"], lambda cfg: cfg.update(check=[1.0]), "check: must be an object"),
 ], ids=["simulate-paths-0", "comparison-paths-0", "comparison-paths-2-pow-64-plus-1",
         "converge-eps-paths-2-pow-64-plus-1", "converge-eps-seed-neg", "no-functional",
         "t-not-a-number", "t-off-mesh", "p-not-a-number", "penalty-simulate",
@@ -389,7 +398,8 @@ def _set(block, key, value):
         "model-param-infinity", "direction-modes-nan", "log-harnack-h-modes-only",
         "log-harnack-h1-modes-only", "continuity-h1-modes-only", "seed-2-pow-64-plus-5",
         "seed-override-2-pow-64", "eps-small-above-eps-big", "lone-eps-small-above-default",
-        "lone-eps-big-at-default"])
+        "lone-eps-big-at-default", "exp-neg-pair-lo-at-hi", "affine-clamped-s-lo-above-s-hi",
+        "sin-modulated-s-amp-at-s-base", "check-not-an-object"])
 def test_bad_input_exit_1_names_field(tmp_path, capsys, argv, edit, field):
     cfg = small_check_config()
     if edit is not None:
@@ -445,8 +455,10 @@ def test_malformed_file_with_overrides_names_it(tmp_path, capsys, text, message)
         lab.h, lab.model, lab.grid, v, verify.EPS_SMALL, 4, seed=1)),
     ("check", "eps_small", 0.05, lambda v, lab: check_eps_monotonicity(
         lab.h, lab.model, lab.grid, verify.EPS_BIG, v, 4, seed=1)),
+    ("run", "seed", 2**64 + 5, lambda v, lab: check_eps_monotonicity(
+        lab.h, lab.model, lab.grid, verify.EPS_BIG, verify.EPS_SMALL, 4, seed=v)),
 ], ids=["run-eps", "run-eps-ladder", "check-eps-ladder", "check-ladder", "check-p",
-        "check-eps-big", "check-eps-small"])
+        "check-eps-big", "check-eps-small", "run-seed"])
 def test_config_error_is_the_library_rule_behind_the_field(block, key, bad, library):
     # one statement per rule: the config puts the field path in front of what the
     # library function that uses the value raises for it (lone eps keys meet the
@@ -497,6 +509,13 @@ def test_debug_scale_m_on_check_without_m_exit_1(tmp_path, capsys, name):
     assert main(["check", name, "--config", path, "--debug-scale-m", "1e-6"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "--debug-scale-m" in captured.err
+
+
+def test_cmd_check_unknown_name(tmp_path):
+    # the parser offers only CHECK_NAMES; a library caller of cmd_check gets the name back
+    with pytest.raises(ConfigError, match="unknown check 'harnack'"):
+        cmd_check("harnack", small_check_config(), str(tmp_path / "out"), 1.0, "abc")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name, attr", [

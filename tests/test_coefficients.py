@@ -214,6 +214,10 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite interval"):
             adaptive_simpson(counted(lambda s: 1.0), a, b)
 
+    def test_adaptive_simpson_reversed_interval(self):
+        with pytest.raises(ValueError, match="need b >= a"):
+            adaptive_simpson(counted(lambda s: 1.0), 1.0, 0.0)
+
     def test_adaptive_simpson_nan_integrand(self):
         with pytest.raises(ValueError, match="not finite"):
             adaptive_simpson(counted(lambda s: math.nan), 0.0, 1.0)

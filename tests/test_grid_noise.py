@@ -247,6 +247,11 @@ class TestNoiseDeterminism:
         with pytest.raises(ValueError):
             sample_increments(NoisePlan(1), grid, 5)
 
+    def test_negative_step_named(self):
+        grid = make_grid(7, 0.1, 0.5)
+        with pytest.raises(ValueError, match="step must be >= 0, got -1"):
+            increments_matrix(NoisePlan(1), grid, -1, [0, 1])
+
     def test_golden_values_frozen(self):
         # pins the full documented pipeline (Philox uniforms -> Box-Muller ->
         # sqrt(dt*dx) scale) so the stream definition cannot drift silently

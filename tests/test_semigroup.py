@@ -15,7 +15,6 @@ from rspde.coefficients import CoefficientModel, constant_model, sin_modulated_m
 from rspde.grid_noise import NoisePlan, l2_norm, make_grid
 from rspde.heat import heat_apply, spectral_basis
 from rspde.semigroup import (
-    Directions,
     Functional,
     FunctionalContractError,
     bounded_cylinder,
@@ -675,12 +674,12 @@ class TestEstimateGrad:
     def test_direction_dictionary_shapes(self, small):
         grid, _, _, _ = small
         dirs = direction_dictionary(grid, 8, include_parts=False)
-        assert isinstance(dirs, Directions)
-        labels, fields = dirs
-        assert labels == [f"e{i}" for i in range(1, 9)]
-        labels_p, fields_p = direction_dictionary(grid, 8, include_parts=True)
-        assert len(labels_p) == 8 + 7 * 2  # first-mode parts are degenerate
-        for f in fields_p:
+        assert isinstance(dirs, dict)
+        assert list(dirs) == [f"e{i}" for i in range(1, 9)]
+        dirs_p = direction_dictionary(grid, 8, include_parts=True)
+        assert len(dirs_p) == 8 + 7 * 2  # first-mode parts are degenerate
+        assert list(dirs_p)[:4] == ["e1", "e2", "e2+", "e2-"]  # mode order
+        for f in dirs_p.values():
             assert l2_norm(f, grid.dx) == pytest.approx(1.0, rel=1e-12)
 
     def test_boundary_directions_rejected(self, small):
@@ -690,10 +689,12 @@ class TestEstimateGrad:
         # h - delta*k outside the cone and get rejected, in-support probes stay
         h_half = np.maximum(spectral_basis(31).modes[1], 0.0)
         est = estimate_grad_Pt(phi, h_half, 0.0, "reflected", model, grid, 16, seed=2)
-        rejected = {lbl for lbl, _ in est.rejected}
-        kept = {lbl for lbl, _, _ in est.per_direction}
-        assert "e1" in rejected
-        assert "e2+" in kept
+        assert "e1" in est.rejected
+        assert "e2+" in est.per_direction
+        assert not est.rejected.keys() & est.per_direction.keys()
+        order = list(direction_dictionary(grid))  # each dict keeps the dictionary's order
+        for got in (est.rejected, est.per_direction):
+            assert list(got) == [lbl for lbl in order if lbl in got]
 
     def test_all_directions_rejected_raises(self, small):
         grid, model, e1, _ = small
@@ -709,7 +710,7 @@ class TestEstimateGrad:
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         with pytest.raises(ValueError, match="delta"):
             estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
-                             directions=Directions(["e1"], [e1]), delta=delta)
+                             directions={"e1": e1}, delta=delta)
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_non_finite_delta_rejected(self, small, monkeypatch, delta):
@@ -718,14 +719,14 @@ class TestEstimateGrad:
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         with pytest.raises(ValueError, match="delta must be > 0 and finite"):
             estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
-                             directions=Directions(["e1"], [e1]), delta=delta)
+                             directions={"e1": e1}, delta=delta)
 
     def test_empty_directions_named(self, small, monkeypatch):
         # used to report that every direction was rejected at the cone boundary
         grid, model, e1, h = small
         monkeypatch.setattr(semigroup, "run_ensemble", _no_run)
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
-        for directions in (Directions([], []), direction_dictionary(grid, 0)):
+        for directions in ({}, direction_dictionary(grid, 0)):
             with pytest.raises(ValueError, match="directions is empty"):
                 estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
                                  directions=directions)
@@ -737,16 +738,13 @@ class TestEstimateGrad:
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         with pytest.raises(ValueError, match=r"direction 'short' has shape \(30,\), expected \(31,\)"):
             estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
-                             directions=Directions(["e1", "short"], [e1, e1[:30]]))
-        with pytest.raises(ValueError, match="directions has 1 labels for 2 fields"):
-            estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 4, seed=2,
-                             directions=Directions(["e1"], [e1, e1]))
+                             directions={"e1": e1, "short": e1[:30]})
 
     def test_single_direction_t_zero_value(self, small):
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
-                               directions=Directions(["e1"], [e1]))
+                               directions={"e1": e1})
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
 
     def test_two_directions_t_zero_value(self, small):
@@ -754,17 +752,17 @@ class TestEstimateGrad:
         e2 = spectral_basis(31).modes[1]
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
         est = estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
-                               directions=Directions(["e1", "e2"], [e1, e2]))
+                               directions={"e1": e1, "e2": e2})
         assert est.best_direction == "e1"
         assert est.value == pytest.approx(float(phi.grad_norm(h)), rel=1e-10)
 
     @pytest.mark.parametrize("directions", [[np.ones(31)], (np.ones(31), np.ones(31))],
                              ids=["list", "two-tuple"])
     def test_bare_sequence_rejected(self, small, directions):
-        # a bare 2-tuple of fields would unpack as (labels, fields)
+        # a sequence of fields carries no labels, a 2-tuple of them included
         grid, model, e1, h = small
         phi = clipped_affine(e1, grid.dx, offset=0.2, lo=-10, hi=10)
-        with pytest.raises(TypeError, match="Directions"):
+        with pytest.raises(TypeError, match=r"directions must be a dict \{label: field\}"):
             estimate_grad_Pt(phi, h, 0.0, "reflected", model, grid, 16, seed=2,
                              directions=directions)
 
@@ -773,7 +771,7 @@ class TestEstimateGrad:
         phi = clipped_affine(e1, grid.dx, lo=-5, hi=5)
         delta = 1e-3
         est = estimate_grad_Pt(phi, h, 0.05, "reflected", model, grid, 1000, seed=5,
-                               directions=Directions(["e1"], [e1]), delta=delta)
+                               directions={"e1": e1}, delta=delta)
         hp = np.maximum(h + delta * e1, 0.0)
         hm = np.maximum(h - delta * e1, 0.0)
         up = estimate_Pt(phi, hp, 0.05, "reflected", model, grid, 1000, seed=5)

@@ -164,6 +164,11 @@ class TestPenaltyResolvent:
         d = penalty_resolvent_deriv(np.array([-1.0, 0.0, 1.0]), 4.0, "negative_part")
         assert np.array_equal(d, [0.2, 1.0, 1.0])
 
+    @pytest.mark.parametrize("solve", [penalty_resolvent, penalty_resolvent_deriv])
+    def test_unknown_kind_named(self, solve):
+        with pytest.raises(ValueError, match="unknown penalty kind 'cubic'"):
+            solve(np.array([-1.0, 1.0]), 4.0, "cubic")
+
 
 class TestStepPenalized:
     def test_heat_only_equals_implicit_step(self):
@@ -329,6 +334,8 @@ class TestSolvePath:
                           NoisePlan(0), save_at=[0.0, 0.5, 1.0])
         assert traj.times == pytest.approx([0.0, 0.5, 1.0])
         assert traj.at(0.5) is not None
+        with pytest.raises(KeyError, match="no snapshot at t=0.3"):
+            traj.at(0.3)
 
     def test_coupled_eps_ordering_at_snapshots(self):
         # same noise realization (one plan drives both runs), harder penalty
@@ -551,6 +558,12 @@ class TestDeterministicObstacle:
         v[0, 3] = -0.1
         with pytest.raises(ValueError):
             deterministic_obstacle(v, grid)
+
+    @pytest.mark.parametrize("shape", [(2, 7), (3, 6), (7,)])
+    def test_rejects_data_of_another_shape(self, shape):
+        grid = make_grid(7, 0.1, 0.2)
+        with pytest.raises(ValueError, match=r"obstacle data has shape .*, expected \(3, 7\)"):
+            deterministic_obstacle(np.zeros(shape), grid)
 
 
 class TestWeakFormResidual:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from rspde import semigroup, verify
+from rspde import grid_noise, semigroup, verify
 from rspde.coefficients import BoundProfile, constant_model, standard_model, zeta
 from rspde.grid_noise import NoisePlan, increments_matrix, make_grid
 from rspde.heat import spectral_basis
 from rspde.semigroup import (
-    Directions,
     bounded_cylinder,
     clipped_affine,
     direction_dictionary,
@@ -18,7 +17,7 @@ from rspde.semigroup import (
     exp_neg_pair,
     run_ensemble,
 )
-from rspde.solver import BlowUpError
+from rspde.solver import BlowUpError, solve_path
 from rspde.verify import (
     check_eps_convergence,
     check_eps_monotonicity,
@@ -202,14 +201,14 @@ class TestVarianceAndLipschitz:
         step = bounded_cylinder(e1, grid.dx, center=center, lo=0.0, hi=1.0, smooth=False)
         delta = 1e-3
         raw = estimate_grad_Pt(step, h, 0.0, "reflected", model, grid, 8, seed=10,
-                               directions=Directions(["e1"], [e1]), delta=delta)
+                               directions={"e1": e1}, delta=delta)
         smoothed = estimate_grad_Pt(step, h, 0.1, "reflected", model, grid, 300,
-                                    seed=10, directions=Directions(["e1"], [e1]), delta=delta)
+                                    seed=10, directions={"e1": e1}, delta=delta)
         assert raw.value == pytest.approx(1.0 / (2 * delta))
         assert np.isfinite(smoothed.value)
         assert smoothed.value < 0.05 * raw.value
         report = check_lipschitz_Pt(step, h, 0.1, "reflected", model, grid, 300,
-                                    seed=10, directions=Directions(["e1"], [e1]))
+                                    seed=10, directions={"e1": e1})
         assert report.passed
 
 
@@ -533,3 +532,23 @@ def test_bound_check_rejects_phi_on_another_grid_before_any_run(tiny, monkeypatc
     with pytest.raises(ValueError, match="phi has 31 nodes, the grid has 15"):
         check(phi, *[h] * n_fields, 0.1, "reflected", model, grid, 8, seed=1)
     assert passes == []
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+@pytest.mark.parametrize("run", [
+    lambda grid, model, e1, h, seed: check_variance_bound(
+        clipped_affine(e1, grid.dx, offset=0.5, lo=0.0, hi=50.0), h, 0.1, "reflected",
+        model, grid, 8, seed),
+    lambda grid, model, e1, h, seed: run_ensemble(h, grid.n_steps, "reflected", model, grid,
+                                                  seed, 8),
+    lambda grid, model, e1, h, seed: solve_path(h, "reflected", model, grid, NoisePlan(seed)),
+], ids=["variance", "run_ensemble", "solve_path"])
+def test_seed_outside_64_bits_raises_before_any_noise(tiny, monkeypatch, run, seed):
+    # the noise key used to be the seed mod 2**64: check_variance_bound at seed
+    # 2**64 + 5 gave seed 5's lhs and rhs under another report seed
+    def no_noise(*args):
+        raise AssertionError("noise was drawn before the seed rule")
+
+    monkeypatch.setattr(grid_noise, "_gaussian_block", no_noise)
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+        run(*tiny, seed)
